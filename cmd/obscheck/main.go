@@ -297,7 +297,7 @@ func checkTimeline(raw []byte) (string, error) {
 	if !bytes.Equal(raw, re.Bytes()) {
 		return "", fmt.Errorf("re-encoded timeline differs from input (%d vs %d bytes)", len(re.Bytes()), len(raw))
 	}
-	return fmt.Sprintf("%d events, %d ff-jumps, end cycle %d", len(tl.Events), len(tl.FFJumps), tl.EndCycle), nil
+	return fmt.Sprintf("%d events, end cycle %d", len(tl.Events), tl.EndCycle), nil
 }
 
 // checkReport accepts exactly one JSON value spanning the whole file — what

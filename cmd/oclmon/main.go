@@ -87,7 +87,6 @@ var (
 	flagRuns  = flag.Int("runs", 1, "number of simulations to submit at boot")
 	flagN     = flag.Int("n", 8192, "items streamed producer -> consumer per run (~400 cycles each)")
 	flagEvery = flag.Int64("sample-every", 1000, "metrics sampling interval in cycles")
-	flagNoFF  = flag.Bool("no-fastforward", false, "step every cycle (slower; same telemetry bytes)")
 
 	flagSlots   = flag.Int("slots", 2, "concurrent run slots")
 	flagQueue   = flag.Int("queue", 8, "wait-queue depth behind the slots")
@@ -197,7 +196,6 @@ func main() {
 	srv := newServer(serverConfig{
 		n:           *flagN,
 		sampleEvery: *flagEvery,
-		noFF:        *flagNoFF,
 		spillDir:    *flagSpillDir,
 		segLines:    *flagSegLines,
 		segBytes:    *flagSegBytes,
@@ -270,9 +268,6 @@ func frontendMain() {
 				"-checkpoint-every", strconv.FormatInt(*flagCkpt, 10),
 				"-spill-budget", strconv.FormatInt(*flagSpillBudget, 10),
 				"-lease-ttl", flagLeaseTTL.String(),
-			}
-			if *flagNoFF {
-				args = append(args, "-no-fastforward")
 			}
 			if dir != "" {
 				args = append(args, "-spill-dir", dir)

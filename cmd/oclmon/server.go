@@ -30,9 +30,8 @@ import (
 
 // serverConfig is everything the HTTP layer needs to host supervised runs.
 type serverConfig struct {
-	n           int   // default items per run
-	sampleEvery int64 // metrics sampling interval
-	noFF        bool
+	n           int    // default items per run
+	sampleEvery int64  // metrics sampling interval
 	spillDir    string // root directory for durable spill ("" disables)
 	segLines    int    // spill segment rotation (payload lines)
 	segBytes    int64  // spill segment rotation (payload bytes)
@@ -89,6 +88,9 @@ type run struct {
 	mu      sync.Mutex
 	state   supervise.State
 	outcome *supervise.Outcome
+	// ffJumps is the machine's fast-forward jump count, captured when the
+	// run finishes (jumps are not part of the recorded stream).
+	ffJumps int64
 
 	// Cached baseline verdict: computing a diff walks both runs' full event
 	// streams, so the result is memoized per baseline run id — /runs and
@@ -110,11 +112,17 @@ func (r *run) status() (supervise.State, *supervise.Outcome) {
 	return r.state, r.outcome
 }
 
-// finish records the terminal outcome and retires the live sink.
+// finish records the terminal outcome and the machine's fast-forward jump
+// count, and retires the live sink.
 func (r *run) finish(m *sim.Machine, out supervise.Outcome) {
+	var jumps int64
+	if m != nil {
+		jumps = m.FastForwardStats().Jumps
+	}
 	r.mu.Lock()
 	r.state = out.State
 	r.outcome = &out
+	r.ffJumps = jumps
 	r.mu.Unlock()
 	var dropped int64
 	if m != nil {
@@ -313,10 +321,9 @@ func (s *server) buildMachine(n int, sink obs.Sink) (*sim.Machine, error) {
 		// The supervisor's cycle budget is the operative ceiling here;
 		// leaving the sim's own 20M-cycle default in place would fail
 		// long runs with max-cycles before the budget ever applies.
-		MaxCycles:          math.MaxInt64 / 2,
-		DisableFastForward: s.cfg.noFF,
-		MemConfig:          mem.Config{RowHitLat: 60, RowMissLat: 200},
-		Observe:            ocfg,
+		MaxCycles: math.MaxInt64 / 2,
+		MemConfig: mem.Config{RowHitLat: 60, RowMissLat: 200},
+		Observe:   ocfg,
 	})
 	src, err := m.NewBuffer("src", kir.I32, n)
 	if err != nil {
@@ -380,16 +387,13 @@ func (s *server) submit(id, tenant string, n int, lim supervise.Limits, resume *
 		// takeover re-executes it instead of silently dropping acknowledged
 		// work.
 		// The Meta records everything a byte-identical re-execution needs:
-		// the workload recipe (workload, n) and the resolved drive limits —
-		// RunFor slice boundaries cut fast-forward jumps, so the recorded
-		// stream depends on slice and cycle budget (supervise.Replay).
-		eff := s.sup.EffectiveLimits(lim)
+		// the workload recipe (workload, n) and the resolved cycle budget,
+		// which decides where a budget-failed run's record ends.
 		ss, err := obs.NewSegmentSink(obs.SegmentConfig{
 			Dir: r.spill, Design: "oclmon", SampleEvery: s.cfg.sampleEvery,
 			Meta: map[string]string{
 				"workload": r.workload, "n": strconv.Itoa(n), "tenant": tenant,
-				"slice":        strconv.FormatInt(eff.Slice, 10),
-				"cycle-budget": strconv.FormatInt(eff.CycleBudget, 10),
+				"cycle-budget": strconv.FormatInt(s.sup.EffectiveLimits(lim).CycleBudget, 10),
 			},
 			MaxLines: s.cfg.segLines, MaxBytes: s.cfg.segBytes, FS: s.cfg.fs,
 		})
@@ -465,25 +469,23 @@ func (s *server) rebuildSpill(man *obs.Manifest, sink obs.Sink) error {
 	if err != nil {
 		return err
 	}
-	// Re-execute under the drive limits the original run resolved to (recorded
-	// in the Meta; a pre-limits spill falls back to the defaults every boot run
-	// uses): the supervised original's RunFor boundaries cut fast-forward
-	// jumps, so only the same slice schedule regenerates the same bytes.
-	if err := supervise.Replay(limitsFromMeta(man.Meta), m); err != nil {
+	// The recorded stream does not depend on how the run was sliced, so one
+	// RunFor over the original cycle budget regenerates it; a budget timeout
+	// ends the stream exactly where the supervised original's ended.
+	budget := s.sup.EffectiveLimits(limitsFromMeta(man.Meta)).CycleBudget
+	var de *sim.DeadlockError
+	if err := m.RunFor(budget); err != nil && !(errors.As(err, &de) && de.Timeout()) {
 		return err
 	}
 	m.Timeline() // forces the recorder's Finalize through to the sink
 	return nil
 }
 
-// limitsFromMeta restores the stream-shaping drive limits a spill was
-// recorded under. Zero values (absent keys — spills from before the limits
-// were persisted) resolve to the supervisor defaults downstream.
+// limitsFromMeta restores the cycle budget a spill was recorded under. A zero
+// value (absent key — spills from before the budget was persisted) resolves
+// to the supervisor default downstream.
 func limitsFromMeta(meta map[string]string) supervise.Limits {
 	var lim supervise.Limits
-	if v, err := strconv.ParseInt(meta["slice"], 10, 64); err == nil && v > 0 {
-		lim.Slice = v
-	}
 	if v, err := strconv.ParseInt(meta["cycle-budget"], 10, 64); err == nil && v > 0 {
 		lim.CycleBudget = v
 	}
@@ -624,10 +626,9 @@ func (s *server) recoverDir(root string) ([]string, error) {
 		}
 		log.Printf("oclmon: re-executing crashed run %s: verifying %d durable lines to cycle %d, then resuming",
 			id, len(slog.Lines), slog.LastCycle())
-		// Resume under the drive limits the original run recorded: the resume
+		// Resume under the cycle budget the original run recorded: the resume
 		// sink byte-verifies the durable prefix against the re-executed
-		// stream, and the stream's fast-forward jump cuts follow the slice
-		// schedule those limits produce.
+		// stream, and the budget decides where a failed run's stream ends.
 		if _, err := s.submit(id, slog.Manifest.Meta["tenant"], n, limitsFromMeta(slog.Manifest.Meta), slog); err != nil {
 			log.Printf("oclmon: recover %s: %v", id, err)
 			continue
@@ -1181,9 +1182,12 @@ func (s *server) writeMetrics(w http.ResponseWriter) {
 	for _, r := range runs {
 		p("oclmon_samples_total{run=%q} %d\n", r.id, r.sink.stats().samples)
 	}
-	p("# HELP oclmon_ff_jumps_total Fast-forward jumps taken.\n# TYPE oclmon_ff_jumps_total counter\n")
+	p("# HELP oclmon_ff_jumps_total Fast-forward jumps the run took, reported when it finishes.\n# TYPE oclmon_ff_jumps_total counter\n")
 	for _, r := range runs {
-		p("oclmon_ff_jumps_total{run=%q} %d\n", r.id, r.sink.stats().ffJumps)
+		r.mu.Lock()
+		jumps := r.ffJumps
+		r.mu.Unlock()
+		p("oclmon_ff_jumps_total{run=%q} %d\n", r.id, jumps)
 	}
 	p("# HELP oclmon_events_dropped_total Events refused after the timeline was finalized.\n# TYPE oclmon_events_dropped_total counter\n")
 	for _, r := range runs {

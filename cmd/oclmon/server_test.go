@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -544,6 +545,12 @@ func TestDiffAndBaselineEndpoints(t *testing.T) {
 	if strings.Contains(metrics, "oclmon_run_regressed{run=\"run1\"}") {
 		t.Fatal("baseline run exposes a regressed gauge against itself")
 	}
+	// Jumps are not in the recorded stream; the counter reads the machine's
+	// fast-forward statistics, and a finished FF run has taken some.
+	jumps := grepMetrics(metrics, "oclmon_ff_jumps_total{run=\"run2\"} ")
+	if v, err := strconv.ParseInt(strings.TrimPrefix(jumps, "oclmon_ff_jumps_total{run=\"run2\"} "), 10, 64); err != nil || v <= 0 {
+		t.Fatalf("ff-jump counter %q, want > 0", jumps)
+	}
 }
 
 // TestSSEKeepaliveFrames pins the idle-stream contract: a live tail with no
@@ -630,9 +637,9 @@ func completeSpilledRun(t *testing.T, root string, n int) string {
 	sup := supervise.New(supervise.Config{Slots: 1})
 	defer sup.Close()
 	srv := newServer(serverConfig{n: n, sampleEvery: 1000, spillDir: root, segLines: 64}, sup)
-	// A small slice forces RunFor boundaries to cut fast-forward jumps, so
-	// these fixtures only repair byte-identically if the scrubber restores
-	// the drive limits from the spill Meta (limitsFromMeta + supervise.Replay).
+	// A small slice drives the run in many short RunFor slices while the
+	// boot scrubber re-executes it in one; the repair is byte-identical only
+	// because the recorded stream does not depend on the slice schedule.
 	r, err := srv.submit("", "", n, supervise.Limits{Slice: 500}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,6 @@ type liveSink struct {
 	sampleEvery int64
 
 	stream  []obs.Event // every event in arrival order; index == SSE id
-	events  int         // non-FF-jump count (timeline partition sizes)
-	ffJumps int
 	samples []obs.Sample
 	cycle   int64 // latest cycle any record has reached
 
@@ -56,11 +54,6 @@ func (s *liveSink) Event(e obs.Event) {
 	defer s.mu.Unlock()
 	seq := int64(len(s.stream))
 	s.stream = append(s.stream, e)
-	if e.Kind == obs.KindFFJump {
-		s.ffJumps++
-	} else {
-		s.events++
-	}
 	if e.End > s.cycle {
 		s.cycle = e.End
 	}
@@ -196,7 +189,6 @@ type liveStats struct {
 	cycle      int64
 	events     int
 	samples    int
-	ffJumps    int
 	stall      map[stallKey]int64
 	depth      map[string]int
 	done       bool
@@ -210,9 +202,8 @@ func (s *liveSink) stats() liveStats {
 	defer s.mu.Unlock()
 	st := liveStats{
 		cycle:      s.cycle,
-		events:     s.events,
+		events:     len(s.stream),
 		samples:    len(s.samples),
-		ffJumps:    s.ffJumps,
 		stall:      make(map[stallKey]int64, len(s.stall)),
 		depth:      make(map[string]int, len(s.depth)),
 		done:       s.finalized,
@@ -231,25 +222,15 @@ func (s *liveSink) stats() liveStats {
 
 // snapshot builds a timeline of everything recorded so far — the finalized
 // record once the run is done, otherwise a consistent mid-run view whose
-// EndCycle is the telemetry high-water mark. Partitioning the unified stream
-// preserves each partition's arrival order, so the bytes match the recorder's
-// own Timeline exactly.
+// EndCycle is the telemetry high-water mark. The stream is in arrival order,
+// so the bytes match the recorder's own Timeline exactly.
 func (s *liveSink) snapshot() *obs.Timeline {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tl := &obs.Timeline{
+	return &obs.Timeline{
 		Design:        s.design,
 		EndCycle:      s.cycle,
 		DroppedEvents: s.dropped,
-		Events:        make([]obs.Event, 0, s.events),
-		FFJumps:       make([]obs.Event, 0, s.ffJumps),
+		Events:        append(make([]obs.Event, 0, len(s.stream)), s.stream...),
 	}
-	for _, e := range s.stream {
-		if e.Kind == obs.KindFFJump {
-			tl.FFJumps = append(tl.FFJumps, e)
-		} else {
-			tl.Events = append(tl.Events, e)
-		}
-	}
-	return tl
 }

@@ -33,9 +33,8 @@ var obsRunners = []struct {
 }
 
 // captureObserved runs fn with the recorder injected into every machine it
-// creates and returns, per machine, the serialized timeline (fast-forward
-// jump records stripped — they differ by definition between the two modes)
-// and the serialized metrics series.
+// creates and returns, per machine, the serialized timeline and the
+// serialized metrics series.
 func captureObserved(t *testing.T, fn func() error) (timelines, series [][]byte) {
 	t.Helper()
 	EnableObserveForTest(128)
@@ -48,10 +47,8 @@ func captureObserved(t *testing.T, fn func() error) (timelines, series [][]byte)
 		t.Fatal("runner created no machines through newSim")
 	}
 	for _, m := range ms {
-		tl := m.Timeline()
-		tl.FFJumps = nil
 		var bt bytes.Buffer
-		if err := obs.WriteTimeline(&bt, tl); err != nil {
+		if err := obs.WriteTimeline(&bt, m.Timeline()); err != nil {
 			t.Fatal(err)
 		}
 		timelines = append(timelines, bt.Bytes())
@@ -68,8 +65,7 @@ func captureObserved(t *testing.T, fn func() error) (timelines, series [][]byte)
 // observability layer: with a recorder injected into every machine each
 // experiment creates, the serialized event timeline and metrics series must
 // be byte-identical whether the simulator single-steps every cycle or takes
-// event-driven fast-forward jumps. Only the FF-jump annotations themselves
-// (kept on a separate track for exactly this reason) may differ.
+// event-driven fast-forward jumps.
 func TestObserveFastForwardEquivalence(t *testing.T) {
 	defer sim.SetFastForwardDisabled(false)
 	for _, rn := range obsRunners {

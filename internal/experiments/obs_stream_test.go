@@ -11,9 +11,7 @@ import (
 // captureSpilled runs fn with an NDJSON spill sink attached to every machine
 // it creates, then replays each spill through a fresh buffering recorder.
 // Per machine it returns the direct in-memory timeline, the replayed
-// timeline, and the replayed metrics series, all serialized with FF jumps
-// stripped (they differ between fast-forward modes by definition; everything
-// else must not).
+// timeline, and the replayed metrics series, all serialized.
 func captureSpilled(t *testing.T, fn func() error) (direct, replayed, replayedSeries [][]byte) {
 	t.Helper()
 	var spills []*bytes.Buffer
@@ -31,7 +29,6 @@ func captureSpilled(t *testing.T, fn func() error) (direct, replayed, replayedSe
 		t.Fatalf("machines/spills mismatch: %d vs %d", len(ms), len(spills))
 	}
 	marshal := func(tl *obs.Timeline) []byte {
-		tl.FFJumps = nil
 		var b bytes.Buffer
 		if err := obs.WriteTimeline(&b, tl); err != nil {
 			t.Fatal(err)

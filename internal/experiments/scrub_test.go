@@ -8,15 +8,16 @@ import (
 
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/scrub"
+	"oclfpga/internal/sim"
 )
 
 // TestScrubRepairSimBenchPinned is the end-to-end durability pin: a real
 // simulated workload spills a checkpointed segmented record, the chaos
 // injector damages it several ways at once, and scrub.Repair — driving the
 // full simulator re-execution via SimBenchRebuild — must restore every file
-// byte-identically to a clean run's. Pinned with fast-forward on and off,
-// because the regenerated stream must be identical in both regimes for
-// repair (and crash recovery) to be trustworthy at all.
+// byte-identically to a clean run's. The FF-off arm writes its spill with
+// fast-forward off and repairs it with the fast-forward rebuild: the record
+// does not depend on the mode, so repair may always take the fast path.
 func TestScrubRepairSimBenchPinned(t *testing.T) {
 	const (
 		n           = 256
@@ -24,16 +25,20 @@ func TestScrubRepairSimBenchPinned(t *testing.T) {
 		ckptEvery   = 2048
 		segLines    = 64
 	)
+	defer sim.SetFastForwardDisabled(false)
 	for _, tc := range []struct {
 		name      string
-		disableFF bool
+		disableFF bool // the spilled run's mode; SimBenchRebuild runs FF on
 	}{
 		{"ff-on", false},
 		{"ff-off", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clean := t.TempDir()
-			if _, err := SpillSimBenchFF(n, clean, sampleEvery, ckptEvery, segLines, tc.disableFF); err != nil {
+			sim.SetFastForwardDisabled(tc.disableFF)
+			_, err := SpillSimBench(n, clean, sampleEvery, ckptEvery, segLines)
+			sim.SetFastForwardDisabled(false)
+			if err != nil {
 				t.Fatal(err)
 			}
 			man, err := obs.LoadManifest(clean)

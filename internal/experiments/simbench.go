@@ -119,7 +119,7 @@ func RunSimBenchObserved(n int, sampleEvery int64) (*SimBenchResult, error) {
 }
 
 // RunSimBenchCheckpointed is the checkpoint-overhead benchmark's treatment
-// arm: the observed workload with a rewind checkpoint (state hash + FF stats)
+// arm: the observed workload with a rewind checkpoint (design and state hashes)
 // recorded every ckptEvery cycles. Compared against RunSimBenchObserved to
 // price the checkpoint grid — the extra fast-forward splits plus the hash.
 func RunSimBenchCheckpointed(n int, sampleEvery, ckptEvery int64) (*SimBenchResult, error) {
@@ -128,33 +128,26 @@ func RunSimBenchCheckpointed(n int, sampleEvery, ckptEvery int64) (*SimBenchResu
 
 // SpillSimBench runs the benchmark workload with a checkpointed, segmented
 // spill under dir and finalizes it — the fixture builder for the indexed
-// query engine's benchmarks and for CLI round-trip tests.
+// query engine's benchmarks and for CLI round-trip tests. The manifest's Meta
+// records every parameter the recorded stream depends on, so a scrubber
+// holding nothing but the spill can rebuild the identical run
+// (SimBenchRebuild).
 func SpillSimBench(n int, dir string, sampleEvery, ckptEvery int64, segLines int) (*SimBenchResult, error) {
-	return SpillSimBenchFF(n, dir, sampleEvery, ckptEvery, segLines, false)
-}
-
-// SpillSimBenchFF is SpillSimBench with the fast-forward arm explicit. The
-// manifest's Meta records every parameter the run depended on, so a scrubber
-// holding nothing but the spill can rebuild the identical run (SimBenchRebuild).
-func SpillSimBenchFF(n int, dir string, sampleEvery, ckptEvery int64, segLines int, disableFF bool) (*SimBenchResult, error) {
 	if n == 0 {
 		n = 2048
 	}
-	meta := map[string]string{
-		"workload":  "simbench",
-		"n":         fmt.Sprint(n),
-		"ckptEvery": fmt.Sprint(ckptEvery),
-	}
-	if disableFF {
-		meta["disableFF"] = "1"
-	}
 	seg, err := obs.NewSegmentSink(obs.SegmentConfig{
-		Dir: dir, Design: "simbench", SampleEvery: sampleEvery, MaxLines: segLines, Meta: meta,
+		Dir: dir, Design: "simbench", SampleEvery: sampleEvery, MaxLines: segLines,
+		Meta: map[string]string{
+			"workload":  "simbench",
+			"n":         fmt.Sprint(n),
+			"ckptEvery": fmt.Sprint(ckptEvery),
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	m, dst, err := setupSimBench(n, disableFF, &obs.Config{
+	m, dst, err := setupSimBench(n, false, &obs.Config{
 		SampleEvery: sampleEvery, CheckpointEvery: ckptEvery, Sink: seg,
 	})
 	if err != nil {
@@ -163,40 +156,19 @@ func SpillSimBenchFF(n int, dir string, sampleEvery, ckptEvery int64, segLines i
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
-	if err := seg.Finalize(m.Cycle()); err != nil {
+	m.Observer() // closes the record; the recorder finalizes the spill
+	if err := m.ObserveErr(); err != nil {
 		return nil, err
 	}
 	return finishSimBench(m, dst, n)
 }
 
-// ReplaySimBenchInto re-executes the spill workload deterministically into an
-// arbitrary sink — the re-execution primitive behind both resume-based crash
-// recovery and scrub's byte-identical segment repair.
-func ReplaySimBenchInto(n int, sampleEvery, ckptEvery int64, disableFF bool, sink obs.Sink) error {
-	if n == 0 {
-		n = 2048
-	}
-	m, dst, err := setupSimBench(n, disableFF, &obs.Config{
-		SampleEvery: sampleEvery, CheckpointEvery: ckptEvery, Sink: sink,
-	})
-	if err != nil {
-		return err
-	}
-	if err := m.Run(); err != nil {
-		return err
-	}
-	if err := sink.Finalize(m.Cycle()); err != nil {
-		return err
-	}
-	_, err = finishSimBench(m, dst, n)
-	return err
-}
-
 // SimBenchRebuild is the scrub rebuild hook for spills SpillSimBench wrote:
 // it turns the manifest's Meta back into the identical deterministic run and
-// streams it into sink. Refuses manifests recorded by any other workload —
-// repairing against the wrong program would only trip the fingerprint check
-// later, with a confusing verdict.
+// streams it into sink — the re-execution primitive behind both resume-based
+// crash recovery and scrub's byte-identical segment repair. Refuses manifests
+// recorded by any other workload — repairing against the wrong program would
+// only trip the fingerprint check later, with a confusing verdict.
 func SimBenchRebuild(man *obs.Manifest, sink obs.Sink) error {
 	if man.Meta["workload"] != "simbench" {
 		return fmt.Errorf("simbench: cannot rebuild workload %q", man.Meta["workload"])
@@ -209,7 +181,21 @@ func SimBenchRebuild(man *obs.Manifest, sink obs.Sink) error {
 	if err != nil {
 		return fmt.Errorf("simbench: manifest meta ckptEvery: %w", err)
 	}
-	return ReplaySimBenchInto(n, man.SampleEvery, ckpt, man.Meta["disableFF"] == "1", sink)
+	m, dst, err := setupSimBench(n, false, &obs.Config{
+		SampleEvery: man.SampleEvery, CheckpointEvery: ckpt, Sink: sink,
+	})
+	if err != nil {
+		return err
+	}
+	if err := m.Run(); err != nil {
+		return err
+	}
+	m.Observer() // closes the record; the recorder finalizes the sink
+	if err := m.ObserveErr(); err != nil {
+		return err
+	}
+	_, err = finishSimBench(m, dst, n)
+	return err
 }
 
 func runSimBench(n int, disableFF bool, observe *obs.Config) (*SimBenchResult, error) {

@@ -40,7 +40,7 @@ func TestMain(m *testing.M) {
 
 // startFleet spawns a real two-worker fleet over the given spill root.
 // NoRespawn keeps the post-kill fleet degraded so the tests can assert on it.
-func startFleet(t *testing.T, root string, workerArgs ...string) (*Frontend, *httptest.Server) {
+func startFleet(t *testing.T, root string) (*Frontend, *httptest.Server) {
 	t.Helper()
 	fe := New(Config{
 		Workers:    2,
@@ -49,12 +49,10 @@ func startFleet(t *testing.T, root string, workerArgs ...string) (*Frontend, *ht
 		ProbeEvery: 200 * time.Millisecond,
 		Logf:       t.Logf,
 		Spawn: func(name, dir string) *exec.Cmd {
-			args := append([]string{
+			return exec.Command(oclmonBin,
 				"-addr", "localhost:0", "-runs", "0",
 				"-worker-name", name, "-spill-dir", dir,
-				"-seg-lines", "64", "-lease-ttl", "2s",
-			}, workerArgs...)
-			return exec.Command(oclmonBin, args...)
+				"-seg-lines", "64", "-lease-ttl", "2s")
 		},
 	})
 	if err := fe.Start(); err != nil {
@@ -157,103 +155,96 @@ func replayDir(t *testing.T, dir string) (timeline, series []byte) {
 // that owns an in-flight run, and the survivor must steal the spill-dir
 // lease, replay-recover the run across the process boundary, and finish it —
 // with the stitched durable record byte-identical to an uninterrupted run of
-// the same workload. Exercised with fast-forward on and off, since the two
-// paths produce (and must reproduce) different event streams.
+// the same workload. Crash recovery of a run recorded with fast-forward off
+// is covered in-process by supervise's TestChaosCrashRecoveryByteIdentical.
 func TestFleetChaosRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes")
 	}
-	for _, tc := range []struct {
-		name string
-		n    int
-		args []string
-	}{
-		{name: "ff-on", n: 20000},
-		{name: "ff-off", n: 20000, args: []string{"-no-fastforward"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			root := t.TempDir()
-			fe, ts := startFleet(t, root, tc.args...)
+	// Workers run with fast-forward on, their default.
+	t.Run("ff-on", func(t *testing.T) {
+		const n = 20000
+		root := t.TempDir()
+		fe, ts := startFleet(t, root)
 
-			id, owner := submitRun(t, ts.URL, tc.n)
-			dir := filepath.Join(root, owner, id)
+		id, owner := submitRun(t, ts.URL, n)
+		dir := filepath.Join(root, owner, id)
 
-			// Wait for a sealed segment — a durable prefix worth recovering —
-			// then kill the owner mid-run via the chaos endpoint.
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				if sealed, _ := filepath.Glob(filepath.Join(dir, "seg-*.ndjson")); len(sealed) > 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("no sealed segment ever appeared in %s", dir)
-				}
-				time.Sleep(5 * time.Millisecond)
+		// Wait for a sealed segment — a durable prefix worth recovering —
+		// then kill the owner mid-run via the chaos endpoint.
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if sealed, _ := filepath.Glob(filepath.Join(dir, "seg-*.ndjson")); len(sealed) > 0 {
+				break
 			}
-			resp, err := http.Post(ts.URL+"/fleet/kill?worker="+owner, "", nil)
-			if err != nil {
-				t.Fatal(err)
+			if time.Now().After(deadline) {
+				t.Fatalf("no sealed segment ever appeared in %s", dir)
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/fleet/kill = %d", resp.StatusCode)
-			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		resp, err := http.Post(ts.URL+"/fleet/kill?worker="+owner, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/fleet/kill = %d", resp.StatusCode)
+		}
 
-			// The kill must have landed mid-run, or the test proved nothing.
-			slog, err := obs.LoadSegments(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slog.Manifest.Complete {
-				t.Fatalf("run completed before the kill; raise n above %d", tc.n)
-			}
+		// The kill must have landed mid-run, or the test proved nothing.
+		slog, err := obs.LoadSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slog.Manifest.Complete {
+			t.Fatalf("run completed before the kill; raise n above %d", n)
+		}
 
-			// The survivor adopts the orphaned dir and finishes the run.
-			final := waitRunDone(t, ts.URL, id, 90*time.Second)
-			if !final.Recovered {
-				t.Fatalf("run %s finished without the recovery path: %+v", id, final)
-			}
-			if final.Worker == owner {
-				t.Fatalf("run %s still reported by the dead worker %s", id, owner)
-			}
+		// The survivor adopts the orphaned dir and finishes the run.
+		final := waitRunDone(t, ts.URL, id, 90*time.Second)
+		if !final.Recovered {
+			t.Fatalf("run %s finished without the recovery path: %+v", id, final)
+		}
+		if final.Worker == owner {
+			t.Fatalf("run %s still reported by the dead worker %s", id, owner)
+		}
 
-			// Degraded-but-serving: one worker dead, /readyz stays 200 and
-			// says so (NoRespawn keeps the fleet at reduced strength).
-			rz, err := http.Get(ts.URL + "/readyz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, _ := io.ReadAll(rz.Body)
-			rz.Body.Close()
-			if rz.StatusCode != http.StatusOK || !strings.Contains(string(rb), "degraded: 1/2") {
-				t.Fatalf("/readyz after kill = %d %q, want 200 degraded 1/2", rz.StatusCode, rb)
-			}
+		// Degraded-but-serving: one worker dead, /readyz stays 200 and
+		// says so (NoRespawn keeps the fleet at reduced strength).
+		rz, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, _ := io.ReadAll(rz.Body)
+		rz.Body.Close()
+		if rz.StatusCode != http.StatusOK || !strings.Contains(string(rb), "degraded: 1/2") {
+			t.Fatalf("/readyz after kill = %d %q, want 200 degraded 1/2", rz.StatusCode, rb)
+		}
 
-			// Byte-identity: the stitched record (durable prefix from the dead
-			// worker + the survivor's verified resume) replays to the same
-			// bytes as an uninterrupted run of the identical workload.
-			refID, refWorker := submitRun(t, ts.URL, tc.n)
-			waitRunDone(t, ts.URL, refID, 90*time.Second)
-			gotTL, gotSer := replayDir(t, dir)
-			wantTL, wantSer := replayDir(t, filepath.Join(root, refWorker, refID))
-			if !bytes.Equal(gotTL, wantTL) {
-				t.Fatalf("recovered timeline differs from uninterrupted run (%d vs %d bytes)", len(gotTL), len(wantTL))
-			}
-			if !bytes.Equal(gotSer, wantSer) {
-				t.Fatal("recovered series differs from uninterrupted run")
-			}
+		// Byte-identity: the stitched record (durable prefix from the dead
+		// worker + the survivor's verified resume) replays to the same
+		// bytes as an uninterrupted run of the identical workload.
+		refID, refWorker := submitRun(t, ts.URL, n)
+		waitRunDone(t, ts.URL, refID, 90*time.Second)
+		gotTL, gotSer := replayDir(t, dir)
+		wantTL, wantSer := replayDir(t, filepath.Join(root, refWorker, refID))
+		if !bytes.Equal(gotTL, wantTL) {
+			t.Fatalf("recovered timeline differs from uninterrupted run (%d vs %d bytes)", len(gotTL), len(wantTL))
+		}
+		if !bytes.Equal(gotSer, wantSer) {
+			t.Fatal("recovered series differs from uninterrupted run")
+		}
 
-			// The takeover was recorded — lease stolen, routes moved.
-			if n, _ := fe.Takeovers(); n == 0 {
-				t.Fatal("no takeover recorded")
-			}
-			lease, err := obs.ReadLease(filepath.Join(root, owner))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lease == nil || lease.Holder == owner {
-				t.Fatalf("dead worker's lease not stolen: %+v", lease)
-			}
-		})
-	}
+		// The takeover was recorded — lease stolen, routes moved.
+		if n, _ := fe.Takeovers(); n == 0 {
+			t.Fatal("no takeover recorded")
+		}
+		lease, err := obs.ReadLease(filepath.Join(root, owner))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lease == nil || lease.Holder == owner {
+			t.Fatalf("dead worker's lease not stolen: %+v", lease)
+		}
+	})
 }

@@ -98,7 +98,9 @@ func TestAttributeRecorderMatchesTimeline(t *testing.T) {
 			r.SpanID(kFetch, r.Intern("lsu:consumer/tbl#1"), r.Intern("burst"), 200, 299)
 			r.SpanID(kFetch, r.Intern("lsu:consumer/tbl#1"), r.Intern("burst"), 250, 269)
 		}
-		r.FFJump(950, 999) // jumps must not contribute to attribution
+		// A legacy fast-forward jump line (spills written before jumps
+		// left the record) must not contribute to attribution.
+		r.Add(obs.Event{Kind: "ff-jump", Track: "sim:fast-forward", Name: "jump", Start: 950, End: 999})
 		if err := r.Finalize(1000); err != nil {
 			t.Fatal(err)
 		}

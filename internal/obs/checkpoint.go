@@ -10,18 +10,17 @@ import (
 // ordinary instant event in the recorded stream — kind "checkpoint" on the
 // "sim:checkpoint" track — whose detail string carries everything a later
 // process needs to rewind to that cycle by re-execution: the design hash and
-// fault seed (to assert it is rebuilding the same deterministic run), the
+// fault seed (to assert it is rebuilding the same deterministic run) and the
 // machine state hash (to verify the re-executed state byte-matches before
-// continuing), and the fast-forward statistics at capture time.
+// continuing).
 //
 // Because a checkpoint is just an event, it flows through every existing
 // transport unchanged: NDJSON spills, crash-safe segments, replay recovery,
 // and the flat binary codec (kinds are interned strings, so no codec change
-// was needed). Like fast-forward jump records, the FF statistics in the
-// detail describe how the run was simulated rather than what the simulated
-// hardware did; the state hash itself covers only fast-forward-invariant
-// machine state, so a checkpoint recorded with skipping on verifies a
-// re-execution with skipping off and vice versa.
+// was needed). The detail carries nothing about how the run was simulated:
+// the state hash covers only fast-forward-invariant machine state, so a
+// checkpoint is the same bytes with skipping on or off and verifies a
+// re-execution in either mode.
 
 // KindCheckpoint marks a periodic rewind checkpoint (instant; Detail carries
 // the parsed Checkpoint fields).
@@ -46,21 +45,19 @@ type Checkpoint struct {
 	// StateHash digests the machine's fast-forward-invariant observable
 	// state at Cycle (see sim.Machine.StateHash).
 	StateHash uint64 `json:"stateHash"`
-	// FFJumps/FFSkipped are the fast-forward statistics at capture time —
-	// simulation-mode metadata, like the ff-jump records themselves.
-	FFJumps   int64 `json:"ffJumps"`
-	FFSkipped int64 `json:"ffSkipped"`
 }
 
 // FormatCheckpointDetail renders the checkpoint's detail string; the cycle
 // travels as the event's instant, not in the detail.
 func FormatCheckpointDetail(c Checkpoint) string {
-	return fmt.Sprintf("design=%016x seed=%d hash=%016x jumps=%d skipped=%d",
-		c.DesignHash, c.Seed, c.StateHash, c.FFJumps, c.FFSkipped)
+	return fmt.Sprintf("design=%016x seed=%d hash=%016x", c.DesignHash, c.Seed, c.StateHash)
 }
 
 // ParseCheckpointDetail parses a detail string written by
-// FormatCheckpointDetail back into a Checkpoint at the given cycle.
+// FormatCheckpointDetail back into a Checkpoint at the given cycle. Details
+// from older spills also carry the fast-forward statistics at capture time
+// (jumps= and skipped=); those fields are checked for well-formedness and
+// ignored.
 func ParseCheckpointDetail(cycle int64, detail string) (Checkpoint, error) {
 	c := Checkpoint{Cycle: cycle}
 	sawDesign, sawHash := false, false
@@ -79,10 +76,8 @@ func ParseCheckpointDetail(cycle int64, detail string) (Checkpoint, error) {
 		case "hash":
 			c.StateHash, err = strconv.ParseUint(v, 16, 64)
 			sawHash = true
-		case "jumps":
-			c.FFJumps, err = strconv.ParseInt(v, 10, 64)
-		case "skipped":
-			c.FFSkipped, err = strconv.ParseInt(v, 10, 64)
+		case "jumps", "skipped":
+			_, err = strconv.ParseInt(v, 10, 64)
 		default:
 			return c, fmt.Errorf("obs: checkpoint detail: unknown field %q", k)
 		}

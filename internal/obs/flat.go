@@ -28,9 +28,9 @@ import (
 //   - sharded append with deterministic merge: records land in per-track
 //     shards, each a chain of fixed-size segments (no doubling copies, no
 //     pointers for the GC to scan), stamped with a global sequence number.
-//     Merging by sequence at sample/finalize/fast-forward-jump points
-//     reproduces exactly the order a single append log would have held, so
-//     the encoding is invisible: timelines, NDJSON spills, and Perfetto
+//     Merging by sequence at flush and materialization time reproduces
+//     exactly the order a single append log would have held, so the
+//     encoding is invisible: timelines, NDJSON spills, and Perfetto
 //     output are byte-identical to the pre-flat recorder's.
 
 // ID is an index into a Recorder's intern table. The zero ID is the empty
@@ -98,18 +98,9 @@ func UnitDetail(unit ID) Detail { return Detail{tmpl: TmplUnit, arg: uint64(unit
 // ValueDetail annotates with "value=" + v.
 func ValueDetail(v int64) Detail { return Detail{tmpl: TmplValue, arg: uint64(v)} }
 
-// Record flags.
-const (
-	// FlagInstant marks a zero-extent event (Event.Instant).
-	FlagInstant uint8 = 1 << iota
-	// FlagFFJump routes the record to the Timeline.FFJumps track: jumps
-	// describe how the run was simulated, not what the simulated hardware
-	// did, but they still occupy one slot of the global append order so the
-	// streamed form interleaves them exactly where they happened.
-	FlagFFJump
-)
-
-const flagMask = FlagInstant | FlagFFJump
+// FlagInstant marks a zero-extent event (Event.Instant). It is the only
+// record flag; every other flag bit is reserved and fails decode.
+const FlagInstant uint8 = 1
 
 // Flat record layout: recWords little-endian 64-bit words.
 //
@@ -197,9 +188,6 @@ type FlatRecord struct {
 
 // IsInstant reports whether the record is a zero-extent instant.
 func (f FlatRecord) IsInstant() bool { return f.Flags&FlagInstant != 0 }
-
-// IsFFJump reports whether the record is a fast-forward jump.
-func (f FlatRecord) IsFFJump() bool { return f.Flags&FlagFFJump != 0 }
 
 func unpackRecord(w []uint64) FlatRecord {
 	return FlatRecord{
@@ -361,7 +349,7 @@ func DecodeFlat(data []byte) (*FlatLog, error) {
 			return nil, fmt.Errorf("obs: flat: record %d: string ID out of range", i)
 		case f.Tmpl >= tmplMax:
 			return nil, fmt.Errorf("obs: flat: record %d: unknown detail template %d", i, f.Tmpl)
-		case f.Flags&^flagMask != 0:
+		case f.Flags&^FlagInstant != 0:
 			return nil, fmt.Errorf("obs: flat: record %d: unknown flags %#x", i, f.Flags)
 		case (f.Tmpl == TmplLit || f.Tmpl == TmplUnit) && f.Arg >= uint64(nStr):
 			return nil, fmt.Errorf("obs: flat: record %d: detail string ID out of range", i)

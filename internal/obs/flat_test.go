@@ -10,8 +10,7 @@ import (
 )
 
 // buildFlatRecorder records a representative mix through the hot-path ID
-// methods: spans, instants, every detail template, several tracks, and
-// fast-forward jumps.
+// methods: spans, instants, every detail template, and several tracks.
 func buildFlatRecorder() *Recorder {
 	r := NewRecorder("flat-test", Config{SampleEvery: 100})
 	kRun := r.Intern(KindUnitRun)
@@ -27,7 +26,6 @@ func buildFlatRecorder() *Recorder {
 	r.InstantID(r.Intern(KindBlame), r.Intern("sim:deadlock"), r.Intern("blame"),
 		400, LitDetail(r.Intern("verdict: starved")))
 	r.SpanDetailID(kStall, tChan, nRead, 70, 90, ValueDetail(-7))
-	r.FFJump(101, 399)
 	return r
 }
 
@@ -138,13 +136,13 @@ func TestFlatDropsAfterFinalize(t *testing.T) {
 	if err := r.Finalize(500); err != nil {
 		t.Fatal(err)
 	}
-	events, jumps, samples := r.EventCount(), r.FFJumpCount(), r.SampleCount()
+	events, samples := r.EventCount(), r.SampleCount()
 	streamWords := r.sampStream.n
 
 	k := r.Intern("k")
 	r.SpanID(k, k, k, 1, 2)
 	r.InstantID(k, k, k, 3, NoDetail)
-	r.FFJump(4, 5)
+	r.Span("k", "t", "n", 4, 5)
 	sw := r.BeginSample(600)
 	sw.Channel(k, 1, channel.Stats{})
 	sw.LSU(k, k, k, false, mem.LSUStats{})
@@ -153,12 +151,12 @@ func TestFlatDropsAfterFinalize(t *testing.T) {
 	r.Add(Event{Kind: "k", Track: "t", Name: "n", Start: 1, End: 1})
 	r.AddSample(Sample{Cycle: 700})
 
-	// SpanID + InstantID + FFJump + BeginSample + Add + AddSample = 6 drops
+	// SpanID + InstantID + Span + BeginSample + Add + AddSample = 6 drops
 	// (the writer methods after a refused BeginSample are inert, not drops).
 	if d := r.DroppedEvents(); d != 6 {
 		t.Fatalf("DroppedEvents = %d, want 6", d)
 	}
-	if r.EventCount() != events || r.FFJumpCount() != jumps || r.SampleCount() != samples {
+	if r.EventCount() != events || r.SampleCount() != samples {
 		t.Fatal("post-Finalize appends changed the recorded counts")
 	}
 	if r.sampStream.n != streamWords {
@@ -256,7 +254,7 @@ func TestReleaseContract(t *testing.T) {
 		t.Fatal("cached views changed after Release")
 	}
 	// Counters survive; flat walks must refuse.
-	if r.EventCount() == 0 || r.FFJumpCount() == 0 {
+	if r.EventCount() == 0 {
 		t.Fatal("counts lost after Release")
 	}
 	mustPanic("VisitFlat", func() { r.VisitFlat(func(FlatRecord) {}) })
@@ -273,7 +271,7 @@ func TestReleaseContract(t *testing.T) {
 	mustPanic("Timeline after Release", func() { r2.Timeline() })
 	mustPanic("Series after Release", func() { r2.Series() })
 	// Appends after Release are refused through the finalized path.
-	r2.FFJump(1, 2)
+	r2.Span("k", "t", "n", 1, 2)
 	if d := r2.DroppedEvents(); d != 1 {
 		t.Fatalf("DroppedEvents = %d, want 1", d)
 	}

@@ -23,7 +23,6 @@ func FuzzFlatCodec(f *testing.F) {
 	live.SpanDetailID(k, tr, n, 50, 60, ValueDetail(-3))
 	live.Add(Event{Kind: KindBlame, Track: "sim:deadlock", Name: "blame",
 		Start: 70, End: 70, Instant: true, Detail: "verdict: starved"})
-	live.FFJump(41, 49)
 	f.Add(live.FlatLog().AppendFlat(nil))
 	f.Add((&FlatLog{Strings: []string{""}}).AppendFlat(nil))
 	f.Add([]byte("OBSFLAT1"))
@@ -60,7 +59,9 @@ func FuzzReplayNDJSON(f *testing.F) {
 	s.Event(Event{Kind: KindLaunch, Track: "unit:k", Name: "launch", Start: 0, End: 0, Instant: true})
 	s.Event(Event{Kind: KindChanStall, Track: "chan:pipe", Name: "write", Start: 3, End: 9})
 	s.Sample(Sample{Cycle: 50})
-	s.Event(Event{Kind: KindFFJump, Track: "ff", Name: "jump", Start: 60, End: 90})
+	// A legacy fast-forward jump line: spills written before jumps left the
+	// record carry these, and they replay as ordinary events.
+	s.Event(Event{Kind: "ff-jump", Track: "sim:fast-forward", Name: "jump", Start: 60, End: 90})
 	if err := s.Finalize(100); err != nil {
 		f.Fatal(err)
 	}
@@ -188,6 +189,34 @@ func FuzzSegIndex(f *testing.F) {
 		}
 		if _, err := ParseSegIndex(out); err != nil {
 			t.Fatalf("re-parse of accepted index failed: %v", err)
+		}
+	})
+}
+
+// FuzzCheckpointDetail throws arbitrary detail strings at the checkpoint
+// parser, which reads untrusted spill bytes on every rewind. Malformed input
+// must be an error, never a panic, and Format∘Parse must round-trip any
+// accepted detail: formatting the parsed checkpoint and parsing that again
+// yields the same checkpoint. The seeds are a current detail and one written
+// before the fast-forward statistics left it.
+func FuzzCheckpointDetail(f *testing.F) {
+	f.Add(int64(4096), FormatCheckpointDetail(Checkpoint{DesignHash: 0xdeadbeef, Seed: 7, StateHash: 0x0123456789abcdef}))
+	f.Add(int64(4096), "design=00000000deadbeef seed=7 hash=0123456789abcdef jumps=12 skipped=3400")
+	f.Add(int64(0), "design=1 hash=2 jumps=x")
+	f.Add(int64(1), "")
+
+	f.Fuzz(func(t *testing.T, cycle int64, detail string) {
+		c, err := ParseCheckpointDetail(cycle, detail)
+		if err != nil {
+			return // rejection is fine; crashing is not
+		}
+		canon := FormatCheckpointDetail(c)
+		again, err := ParseCheckpointDetail(cycle, canon)
+		if err != nil {
+			t.Fatalf("re-parse of %q (from %q) failed: %v", canon, detail, err)
+		}
+		if again != c {
+			t.Fatalf("round trip changed the checkpoint: %+v -> %q -> %+v", c, canon, again)
 		}
 	})
 }

@@ -108,9 +108,6 @@ func (b *segIndexBuilder) addEvent(e *Event) {
 	if e.Instant {
 		rec.Flags |= FlagInstant
 	}
-	if e.Kind == KindFFJump {
-		rec.Flags |= FlagFFJump
-	}
 	if e.Detail != "" {
 		rec.Tmpl = TmplLit
 		rec.Arg = uint64(b.tab.intern(e.Detail))

@@ -22,8 +22,10 @@ import (
 //	{"s":{...}}                                      one metrics sample
 //	{"fin":{"endCycle":...}}                         terminal line
 //
-// Fast-forward jumps travel as ordinary "e" lines with kind "ff-jump"; the
-// replaying recorder routes them back onto the dedicated FFJumps track.
+// Fast-forward jumps are not recorded: the stream describes what the
+// simulated hardware did, so it is the same bytes with skipping on or off.
+// Spills written before that rule carry "ff-jump" event lines; they replay
+// as ordinary events.
 
 // ndjsonHeader is the first line of a spill stream.
 type ndjsonHeader struct {

@@ -1,7 +1,7 @@
 // Package obs is the simulator's unified observability layer: a structured
 // event timeline (spans and instants for unit activity, channel stalls, LSU
-// line fetches, fault-injection windows, fast-forward jumps, and deadlock
-// blame), a periodic metrics sampler, and machine-readable codecs for both.
+// line fetches, fault-injection windows, and deadlock blame), a periodic
+// metrics sampler, and machine-readable codecs for both.
 // It turns the end-of-run text tables the paper's §6 profiling produces into
 // the kind of timeline/series data dashboards and regression tooling consume
 // — the paper's dynamic-visibility goal, emitted as data instead of prose.
@@ -12,8 +12,8 @@
 // simulator emits events only at cycles it executes for real in both modes,
 // and batch-advances the open stall spans across skipped windows, so a
 // timeline is byte-identical with skipping on or off. Fast-forward jumps
-// themselves are the one exception (they exist only when skipping is on) and
-// are kept on a separate Timeline.FFJumps track for exactly that reason.
+// themselves are not recorded: they describe how the run was simulated, not
+// what the simulated hardware did (sim.Machine.FastForwardStats counts them).
 //
 // Internally the recorder stores flat fixed-width records over an interned
 // string table (see flat.go) and materializes Event values only at
@@ -43,8 +43,6 @@ const (
 	// KindFault spans an injected fault's active window (instant for
 	// one-shot kinds like depth-override and launch-skew).
 	KindFault = "fault"
-	// KindFFJump spans a window of quiescent cycles the simulator skipped.
-	KindFFJump = "ff-jump"
 	// KindBlame marks a deadlock diagnosis (instant; Detail carries the
 	// blame verdict).
 	KindBlame = "deadlock-blame"
@@ -62,10 +60,7 @@ type Event struct {
 	Detail  string `json:"detail,omitempty"`
 }
 
-// Timeline is a finished run's event record. FFJumps is kept separate from
-// Events because jumps describe how the run was simulated, not what the
-// simulated hardware did — the equivalence suite compares Events across
-// fast-forward modes and ignores FFJumps. DroppedEvents counts events that
+// Timeline is a finished run's event record. DroppedEvents counts events that
 // arrived after Finalize and were refused (a closed timeline is a sealed
 // record; late arrivals are counted, never appended).
 type Timeline struct {
@@ -73,7 +68,6 @@ type Timeline struct {
 	EndCycle      int64   `json:"endCycle"`
 	DroppedEvents int64   `json:"droppedEvents,omitempty"`
 	Events        []Event `json:"events"`
-	FFJumps       []Event `json:"ffJumps,omitempty"`
 }
 
 // ChannelSample is one channel's counters at a sample cycle. Channels with no
@@ -130,9 +124,8 @@ type Config struct {
 	// checkpoints. Like sample cycles, checkpoint cycles are fast-forward
 	// deadline cycles, so the recorded state hash is the per-cycle path's.
 	CheckpointEvery int64
-	// Sink, when non-nil, receives every finished event (including
-	// fast-forward jumps, distinguishable by Kind) and every sample as the
-	// recorder appends them, and Finalize when the record closes. Delivery
+	// Sink, when non-nil, receives every finished event and every sample as
+	// the recorder appends them, and Finalize when the record closes. Delivery
 	// is per-append — each record is materialized and handed downstream the
 	// moment it lands — so the durable prefix a crashed spill leaves behind
 	// is exactly the appended prefix, which segment-resume verification
@@ -163,9 +156,7 @@ type Recorder struct {
 	trackShard []int32
 	// seq is the next global sequence number; records across all shards
 	// carry dense seqs, so append order is recoverable exactly.
-	seq     uint64
-	nEvents int // records without FlagFFJump
-	nJumps  int // records with FlagFFJump
+	seq uint64
 
 	// Streaming state: everything with seq < flushedSeq has been delivered
 	// to the sink; each shard's sunk cursor marks its delivered prefix.
@@ -174,9 +165,6 @@ type Recorder struct {
 	// detailCache memoizes rendered detail strings so flushing N stall
 	// spans of the same unit concatenates "unit=" once, not N times.
 	detailCache map[Detail]string
-
-	// Canonical fast-forward jump identity, interned once.
-	ffKind, ffTrack, ffName ID
 
 	windows []window // open fault windows, insertion-ordered
 
@@ -192,7 +180,6 @@ type Recorder struct {
 
 	// Timeline/series materialization caches, valid once finalized.
 	tlEvents  []Event
-	tlJumps   []Event
 	tlBuilt   bool
 	sampCache []Sample
 	sampBuilt bool
@@ -211,9 +198,6 @@ type window struct {
 func NewRecorder(design string, cfg Config) *Recorder {
 	r := &Recorder{design: design, cfg: cfg, tab: newInternTable(), lastSamp: -1}
 	r.trackShard = append(r.trackShard, -1) // the empty string's track
-	r.ffKind = r.Intern(KindFFJump)
-	r.ffTrack = r.Intern("sim:fast-forward")
-	r.ffName = r.Intern("jump")
 	return r
 }
 
@@ -266,11 +250,6 @@ func (r *Recorder) appendFlat(kind, track, name ID, start, end int64, flags uint
 	w[4] = uint64(end)
 	w[5] = d.arg
 	r.seq++
-	if flags&FlagFFJump != 0 {
-		r.nJumps++
-	} else {
-		r.nEvents++
-	}
 	if r.cfg.Sink != nil {
 		r.flush()
 	}
@@ -310,16 +289,9 @@ func (r *Recorder) Add(e Event) {
 	r.appendFlat(r.Intern(e.Kind), r.Intern(e.Track), r.Intern(e.Name), e.Start, e.End, flags, d)
 }
 
-// Event implements Sink: fast-forward jumps route to their dedicated track,
-// everything else to the main event sequence. This is what lets a replayed
-// NDJSON stream rebuild a byte-identical timeline through a fresh Recorder.
-func (r *Recorder) Event(e Event) {
-	if e.Kind == KindFFJump {
-		r.FFJump(e.Start, e.End)
-		return
-	}
-	r.Add(e)
-}
+// Event implements Sink (alias of Add). This is what lets a replayed NDJSON
+// stream rebuild a byte-identical timeline through a fresh Recorder.
+func (r *Recorder) Event(e Event) { r.Add(e) }
 
 // Sample implements Sink (alias of AddSample).
 func (r *Recorder) Sample(s Sample) { r.AddSample(s) }
@@ -348,13 +320,6 @@ func (r *Recorder) Instant(kind, track, name string, at int64, detail string) {
 		d = LitDetail(r.Intern(detail))
 	}
 	r.appendFlat(r.Intern(kind), r.Intern(track), r.Intern(name), at, at, FlagInstant, d)
-}
-
-// FFJump records one fast-forward jump over the inclusive skipped window
-// [from, to]. Jumps live on their own timeline track (see Timeline.FFJumps)
-// but stream downstream interleaved with ordinary events, tagged by Kind.
-func (r *Recorder) FFJump(from, to int64) {
-	r.appendFlat(r.ffKind, r.ffTrack, r.ffName, from, to, FlagFFJump, NoDetail)
 }
 
 // OpenWindow starts a span whose end is not yet known (a fault switching on).
@@ -561,60 +526,47 @@ func (r *Recorder) flush() {
 	r.flushedSeq = r.seq
 }
 
-// buildTimeline materializes the merged record stream into the Events and
-// FFJumps slices, allocated at exact capacity and left nil when empty (the
-// Timeline JSON codec distinguishes null from []).
-func (r *Recorder) buildTimeline() (events, jumps []Event) {
-	if r.nEvents > 0 {
-		events = make([]Event, 0, r.nEvents)
+// buildTimeline materializes the merged record stream, allocated at exact
+// capacity and left nil when empty (the Timeline JSON codec distinguishes
+// null from []).
+func (r *Recorder) buildTimeline() []Event {
+	if r.seq == 0 {
+		return nil
 	}
-	if r.nJumps > 0 {
-		jumps = make([]Event, 0, r.nJumps)
-	}
-	for _, ref := range r.fillScratch(0, r.seq, false) {
-		f := unpackRecord(r.shards[ref.shard].at(int(ref.idx)))
-		if f.IsFFJump() {
-			jumps = append(jumps, r.materialize(f))
-		} else {
-			events = append(events, r.materialize(f))
-		}
-	}
-	return events, jumps
+	events := make([]Event, 0, r.seq)
+	r.VisitFlat(func(f FlatRecord) { events = append(events, r.materialize(f)) })
+	return events
 }
 
 // Timeline snapshots the recorded events. Call after Finalize; the returned
-// struct is fresh on every call but shares the materialized backing slices,
-// which must not be mutated except to detach FFJumps.
+// struct is fresh on every call but shares the materialized backing slice,
+// which must not be mutated.
 func (r *Recorder) Timeline() *Timeline {
-	events, jumps := r.tlEvents, r.tlJumps
+	events := r.tlEvents
 	if !r.tlBuilt {
 		if r.released {
 			panic("obs: Timeline on released recorder")
 		}
-		events, jumps = r.buildTimeline()
+		events = r.buildTimeline()
 		if r.finalized {
-			r.tlEvents, r.tlJumps, r.tlBuilt = events, jumps, true
+			r.tlEvents, r.tlBuilt = events, true
 		}
 	}
 	return &Timeline{
 		Design: r.design, EndCycle: r.endCycle, DroppedEvents: r.dropped,
-		Events: events, FFJumps: jumps,
+		Events: events,
 	}
 }
 
-// EventCount returns the number of recorded main-track events (fast-forward
-// jumps excluded) without materializing them.
-func (r *Recorder) EventCount() int { return r.nEvents }
-
-// FFJumpCount returns the number of recorded fast-forward jumps.
-func (r *Recorder) FFJumpCount() int { return r.nJumps }
+// EventCount returns the number of recorded events without materializing
+// them.
+func (r *Recorder) EventCount() int { return int(r.seq) }
 
 // SampleCount returns the number of recorded metrics samples without
 // materializing them.
 func (r *Recorder) SampleCount() int { return r.nSamples }
 
-// VisitFlat walks every record (fast-forward jumps included) in append order
-// without materializing Event values — the analyze package's read path.
+// VisitFlat walks every record in append order without materializing Event values — the analyze package's read path.
 func (r *Recorder) VisitFlat(fn func(FlatRecord)) {
 	if r.released {
 		panic("obs: VisitFlat on released recorder")
@@ -634,7 +586,7 @@ func (r *Recorder) DetailOf(f FlatRecord) string {
 func (r *Recorder) FlatLog() *FlatLog {
 	l := &FlatLog{
 		Strings: append([]string(nil), r.tab.strs...),
-		Records: make([]FlatRecord, 0, r.nEvents+r.nJumps),
+		Records: make([]FlatRecord, 0, r.seq),
 	}
 	r.VisitFlat(func(f FlatRecord) { l.Records = append(l.Records, f) })
 	return l

@@ -16,7 +16,6 @@ func sampleTimeline() *Timeline {
 	r.CloseWindow("fault#0", 90)
 	r.Span(KindUnitRun, "unit:prod", "run", 1, 120)
 	r.Instant(KindBlame, "diagnosis", "stall-limit", 130, "the consumer is slow")
-	r.FFJump(41, 49)
 	r.OpenWindow("fault#1", Event{Kind: KindFault, Track: "fault:k", Name: "stuck-unit", Start: 100})
 	r.Finalize(140)
 	return r.Timeline()
@@ -39,9 +38,6 @@ func TestRecorderWindowsAndFinalize(t *testing.T) {
 	if last.Name != "stuck-unit" || last.End != 140 {
 		t.Fatalf("finalized window = %+v", last)
 	}
-	if len(tl.FFJumps) != 1 || tl.FFJumps[0].Start != 41 || tl.FFJumps[0].End != 49 {
-		t.Fatalf("ffJumps = %+v", tl.FFJumps)
-	}
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +48,12 @@ func TestRecorderDropsAfterFinalize(t *testing.T) {
 	r.Finalize(10)
 	r.Span(KindUnitRun, "unit:x", "run", 0, 5)
 	r.AddSample(Sample{Cycle: 10})
-	r.FFJump(1, 2)
 	tl := r.Timeline()
-	if len(tl.Events) != 0 || len(tl.FFJumps) != 0 || len(r.Series().Samples) != 0 {
+	if len(tl.Events) != 0 || len(r.Series().Samples) != 0 {
 		t.Fatalf("post-finalize records kept: %+v", tl)
 	}
-	if r.DroppedEvents() != 3 || tl.DroppedEvents != 3 {
-		t.Fatalf("dropped = %d / timeline %d, want 3", r.DroppedEvents(), tl.DroppedEvents)
+	if r.DroppedEvents() != 2 || tl.DroppedEvents != 2 {
+		t.Fatalf("dropped = %d / timeline %d, want 2", r.DroppedEvents(), tl.DroppedEvents)
 	}
 }
 
@@ -101,9 +96,8 @@ func TestTimelineRoundTrip(t *testing.T) {
 	if got.Design != tl.Design || got.EndCycle != tl.EndCycle {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if len(got.Events) != len(tl.Events) || len(got.FFJumps) != len(tl.FFJumps) {
-		t.Fatalf("lost events: %d/%d vs %d/%d",
-			len(got.Events), len(got.FFJumps), len(tl.Events), len(tl.FFJumps))
+	if len(got.Events) != len(tl.Events) {
+		t.Fatalf("lost events: %d vs %d", len(got.Events), len(tl.Events))
 	}
 	for i := range got.Events {
 		if got.Events[i] != tl.Events[i] {

@@ -44,16 +44,12 @@ const tracePid = 1
 func timelineTracks(t *Timeline) []string {
 	seen := map[string]bool{}
 	var tracks []string
-	add := func(evs []Event) {
-		for _, e := range evs {
-			if !seen[e.Track] {
-				seen[e.Track] = true
-				tracks = append(tracks, e.Track)
-			}
+	for _, e := range t.Events {
+		if !seen[e.Track] {
+			seen[e.Track] = true
+			tracks = append(tracks, e.Track)
 		}
 	}
-	add(t.Events)
-	add(t.FFJumps)
 	sort.Strings(tracks)
 	return tracks
 }
@@ -103,9 +99,6 @@ func WriteTimeline(w io.Writer, t *Timeline) error {
 		})
 	}
 	for _, e := range t.Events {
-		doc.TraceEvents = append(doc.TraceEvents, toTraceEvent(e, tid[e.Track]))
-	}
-	for _, e := range t.FFJumps {
 		doc.TraceEvents = append(doc.TraceEvents, toTraceEvent(e, tid[e.Track]))
 	}
 	buf, err := json.MarshalIndent(&doc, "", "  ")
@@ -175,11 +168,7 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 			} else {
 				e.Instant = true
 			}
-			if e.Kind == KindFFJump {
-				t.FFJumps = append(t.FFJumps, e)
-			} else {
-				t.Events = append(t.Events, e)
-			}
+			t.Events = append(t.Events, e)
 		default:
 			return nil, fmt.Errorf("obs: timeline: unsupported event phase %q", te.Ph)
 		}
@@ -194,25 +183,19 @@ func (t *Timeline) Validate() error {
 	if t.DroppedEvents < 0 {
 		return fmt.Errorf("obs: timeline: negative droppedEvents %d", t.DroppedEvents)
 	}
-	check := func(where string, evs []Event) error {
-		for i, e := range evs {
-			switch {
-			case e.Track == "":
-				return fmt.Errorf("obs: %s[%d]: empty track", where, i)
-			case e.Kind == "":
-				return fmt.Errorf("obs: %s[%d]: empty kind", where, i)
-			case e.Start < 0 || e.End < e.Start:
-				return fmt.Errorf("obs: %s[%d] %s: bad interval [%d,%d]", where, i, e.Name, e.Start, e.End)
-			case e.Instant && e.Start != e.End:
-				return fmt.Errorf("obs: %s[%d] %s: instant with extent [%d,%d]", where, i, e.Name, e.Start, e.End)
-			case e.End > t.EndCycle:
-				return fmt.Errorf("obs: %s[%d] %s: ends at %d past end cycle %d", where, i, e.Name, e.End, t.EndCycle)
-			}
+	for i, e := range t.Events {
+		switch {
+		case e.Track == "":
+			return fmt.Errorf("obs: event[%d]: empty track", i)
+		case e.Kind == "":
+			return fmt.Errorf("obs: event[%d]: empty kind", i)
+		case e.Start < 0 || e.End < e.Start:
+			return fmt.Errorf("obs: event[%d] %s: bad interval [%d,%d]", i, e.Name, e.Start, e.End)
+		case e.Instant && e.Start != e.End:
+			return fmt.Errorf("obs: event[%d] %s: instant with extent [%d,%d]", i, e.Name, e.Start, e.End)
+		case e.End > t.EndCycle:
+			return fmt.Errorf("obs: event[%d] %s: ends at %d past end cycle %d", i, e.Name, e.End, t.EndCycle)
 		}
-		return nil
 	}
-	if err := check("event", t.Events); err != nil {
-		return err
-	}
-	return check("ffJump", t.FFJumps)
+	return nil
 }

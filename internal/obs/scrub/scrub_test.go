@@ -22,7 +22,7 @@ func feed(rec *obs.Recorder) {
 	rec.OpenWindow("run:k", obs.Event{Kind: obs.KindUnitRun, Track: "unit:k", Name: "run", Start: 1})
 	rec.Add(obs.Event{Kind: obs.KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: 5, End: 24, Detail: "unit=k"})
 	rec.AddSample(obs.Sample{Cycle: 100, Channels: []obs.ChannelSample{{Name: "pipe", Len: 3}}})
-	rec.FFJump(30, 70)
+	rec.Span(obs.KindLineFetch, "lsu:k/src#0", "burst", 30, 70)
 	rec.Span(obs.KindLineFetch, "lsu:k/tbl#0", "burst", 80, 99)
 	rec.CloseWindow("run:k", 120)
 	rec.Finalize(125)

@@ -108,7 +108,7 @@ func crashSpill(t *testing.T, dir string) {
 	rec.OpenWindow("run:k", Event{Kind: KindUnitRun, Track: "unit:k", Name: "run", Start: 1})
 	rec.Add(Event{Kind: KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: 5, End: 24, Detail: "unit=k"})
 	rec.AddSample(Sample{Cycle: 100, Channels: []ChannelSample{{Name: "pipe", Len: 3}}})
-	rec.FFJump(30, 70)
+	rec.Span(KindLineFetch, "lsu:k/src#0", "burst", 30, 70)
 	rec.Span(KindLineFetch, "lsu:k/tbl#0", "burst", 80, 99)
 	if err := sink.err(); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,8 @@
 package obs
 
 // Sink is one destination of the observability pipeline. The simulator's
-// recorder calls Event for every finished event in append order — including
-// fast-forward jumps, which carry Kind == KindFFJump so a sink can keep them
-// off the hardware-behaviour record — Sample for every metrics sample, and
+// recorder calls Event for every finished event in append order, Sample for
+// every metrics sample, and
 // Finalize exactly once when the run's record closes. Calls arrive from the
 // simulator's single goroutine; a sink shared with other goroutines (the
 // oclmon live server) must do its own locking.

@@ -7,13 +7,13 @@ import (
 )
 
 // feedRecorder drives a recorder through a representative mix of records:
-// instants, spans, windows, ff-jumps, samples, post-finalize drops.
+// instants, spans, windows, samples, post-finalize drops.
 func feedRecorder(r *Recorder) {
 	r.Instant(KindLaunch, "unit:k", "launch", 0, "")
 	r.OpenWindow("run:k", Event{Kind: KindUnitRun, Track: "unit:k", Name: "run", Start: 1})
 	r.Add(Event{Kind: KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: 5, End: 24, Detail: "unit=k"})
 	r.AddSample(Sample{Cycle: 100, Channels: []ChannelSample{{Name: "pipe", Len: 3}}})
-	r.FFJump(30, 70)
+	r.Span(KindLineFetch, "lsu:k/src#0", "burst", 30, 70)
 	r.Span(KindLineFetch, "lsu:k/tbl#0", "burst", 80, 99)
 	r.CloseWindow("run:k", 120)
 	r.Finalize(125)
@@ -70,17 +70,10 @@ func TestNDJSONShape(t *testing.T) {
 	if !strings.HasPrefix(last, `{"fin":`) || !strings.Contains(last, `"endCycle":125`) {
 		t.Fatalf("terminal = %q", last)
 	}
-	var ffs int
 	for _, l := range lines[1 : len(lines)-1] {
 		if !strings.HasPrefix(l, `{"e":`) && !strings.HasPrefix(l, `{"s":`) {
 			t.Fatalf("unexpected line %q", l)
 		}
-		if strings.Contains(l, `"ff-jump"`) {
-			ffs++
-		}
-	}
-	if ffs != 1 {
-		t.Fatalf("ff-jump lines = %d", ffs)
 	}
 	if strings.Contains(spill.String(), `"late"`) {
 		t.Fatal("post-finalize event reached the sink")

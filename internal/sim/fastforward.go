@@ -138,9 +138,6 @@ func (m *Machine) fastForward(start, budget int64) {
 	if to > m.cycle {
 		m.batchAdvance(m.cycle, to)
 	}
-	if m.obs != nil {
-		m.obs.rec.FFJump(from+1, to)
-	}
 	m.ffJumps++
 	m.ffSkipped += to - from
 	m.cycle = to

@@ -28,8 +28,8 @@ import (
 // channel stall spans — is batch-extended across skipped windows at exactly
 // the points batchRegion charges the equivalent stall counters. The
 // equivalence suite asserts timelines and samples are byte-identical with
-// skipping on and off; fast-forward jump events, which exist only when
-// skipping is on, live on the separate Timeline.FFJumps track.
+// skipping on and off. Jumps themselves are not recorded; FastForwardStats
+// counts them.
 
 // obsState is the per-machine observability state.
 type obsState struct {

@@ -391,8 +391,6 @@ func (m *Machine) obsCheckpoint() {
 		DesignHash: m.DesignHash(),
 		Seed:       m.faultSeed(),
 		StateHash:  m.StateHash(),
-		FFJumps:    m.ffJumps,
-		FFSkipped:  m.ffSkipped,
 	})
 	o.rec.InstantID(o.kCkpt, o.ckptTrack, o.ckptName, m.cycle, obs.LitDetail(o.rec.Intern(detail)))
 }

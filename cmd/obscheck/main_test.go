@@ -8,19 +8,21 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"oclfpga/internal/experiments"
 	"oclfpga/internal/obs"
 )
 
-// TestMain builds obscheck plus the oclprof that produces its inputs; the
-// tests then run the real validation pipeline end to end: artifacts from one
-// binary gated by the other, exit codes asserted on both the accept and
-// reject paths.
+// TestMain builds obscheck plus the oclprof and oclmon that produce its
+// inputs; the tests then run the real validation pipeline end to end:
+// artifacts from one binary gated by the other, exit codes asserted on both
+// the accept and reject paths.
 
 var (
 	obscheckBin string
 	oclprofBin  string
+	oclmonBin   string
 )
 
 func TestMain(m *testing.M) {
@@ -31,7 +33,8 @@ func TestMain(m *testing.M) {
 	}
 	obscheckBin = filepath.Join(dir, "obscheck")
 	oclprofBin = filepath.Join(dir, "oclprof")
-	for bin, pkg := range map[string]string{obscheckBin: ".", oclprofBin: "../oclprof"} {
+	oclmonBin = filepath.Join(dir, "oclmon")
+	for bin, pkg := range map[string]string{obscheckBin: ".", oclprofBin: "../oclprof", oclmonBin: "../oclmon"} {
 		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
 			fmt.Fprintf(os.Stderr, "build %s: %v\n%s", pkg, err, out)
 			os.RemoveAll(dir)
@@ -246,5 +249,87 @@ func TestFsckDetectsDamageAndRepairs(t *testing.T) {
 	}
 	if _, _, code := runCmd(t, obscheckBin, "-q", "-fsck", dir); code != 0 {
 		t.Fatal("rescan after repair not clean")
+	}
+}
+
+// TestFsckRepairsEveryWorkload: -fsck -repair heals a spill of every
+// workload, written by the tool that runs it — each oclprof workload with
+// its instrumentation, and an oclmon run — by re-executing the run its
+// manifest records. One flipped byte in a sealed segment must come back
+// byte-identical.
+func TestFsckRepairsEveryWorkload(t *testing.T) {
+	grids := []string{"-sample-every", "200", "-checkpoint-every", "1000", "-seg-lines", "64"}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"matvec-st", []string{"-workload", "matvec-st", "-order"}},
+		{"matvec-nd", []string{"-workload", "matvec-nd", "-order"}},
+		{"matmul", []string{"-workload", "matmul", "-stallmon", "-watch"}},
+		{"chase", []string{"-workload", "chase", "-timestamps", "hdl"}},
+		{"vecadd", []string{"-workload", "vecadd"}},
+		{"fir", []string{"-workload", "fir", "-stallmon"}},
+		{"chanstall", []string{"-workload", "chanstall", "-inject", "mem-delay@100+400=30"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "spill")
+			args := append(append([]string{"-log=false", "-spill-dir", dir}, grids...), tc.args...)
+			if _, stderr, code := runCmd(t, oclprofBin, args...); code != 0 {
+				t.Fatalf("oclprof exit %d\n%s", code, stderr)
+			}
+			flipAndRepair(t, dir)
+		})
+	}
+	t.Run("oclmon", func(t *testing.T) {
+		root := t.TempDir()
+		cmd := exec.Command(oclmonBin, append([]string{"-addr", "localhost:0", "-runs", "1", "-n", "64", "-spill-dir", root}, grids...)...)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}()
+		dir := filepath.Join(root, "run1")
+		for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			if man, err := obs.LoadManifest(dir); err == nil && man.Complete {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("oclmon run never completed its spill")
+			}
+		}
+		flipAndRepair(t, dir)
+	})
+}
+
+// flipAndRepair rots one byte of a middle segment, then requires obscheck
+// -fsck -repair to restore it byte-identically.
+func flipAndRepair(t *testing.T, dir string) {
+	t.Helper()
+	man, err := obs.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) < 2 {
+		t.Fatalf("fixture too small: %d segments", len(man.Segments))
+	}
+	seg := filepath.Join(dir, man.Segments[len(man.Segments)/2].File)
+	clean, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.FlipByte(seg, 30); err != nil {
+		t.Fatal(err)
+	}
+	if stdout, stderr, code := runCmd(t, obscheckBin, "-fsck", dir, "-repair"); code != 0 {
+		t.Fatalf("repair exited %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	got, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(clean, got) {
+		t.Fatal("repaired segment is not byte-identical to the original")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,16 +13,13 @@ import (
 	"sync"
 	"time"
 
-	"oclfpga/internal/device"
 	"oclfpga/internal/fleet"
-	"oclfpga/internal/hls"
-	"oclfpga/internal/kir"
-	"oclfpga/internal/mem"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/analyze"
 	"oclfpga/internal/obs/diff"
 	"oclfpga/internal/obs/query"
 	"oclfpga/internal/obs/scrub"
+	"oclfpga/internal/recipe"
 	"oclfpga/internal/sim"
 	"oclfpga/internal/supervise"
 )
@@ -79,7 +75,9 @@ type run struct {
 	sink      *liveSink
 	spill     string // this run's spill directory ("" when not spilling)
 	recovered bool   // rebuilt or resumed from a spill at startup
-	items     int    // workload size n — the at-cycle rewind's rebuild parameter
+	// spec is the run's recipe — what its Start, crash resume and at-cycle
+	// rewind build. Zero for a hosted spill whose Meta does not decode.
+	spec recipe.Spec
 	// quarantinedSpill marks a run whose spill the boot scrubber could not
 	// repair: the directory carries a quarantine marker and the run is hosted
 	// only as a degraded verdict (no telemetry, no query surface).
@@ -264,13 +262,13 @@ func (s *server) newID() string {
 }
 
 // buildStart constructs the supervised Start closure for a fresh or resumed
-// run: compile, attach the live sink (and segment spill, fanned out), build
-// buffers, launch. It runs inside the supervisor worker so compile/launch
+// run: attach the live sink (and segment spill, fanned out) and build the
+// run's recipe. It runs inside the supervisor worker so compile/launch
 // panics are isolated like run panics. seg receives the spill sink for the
 // FinalizeRetry hook.
-func (s *server) buildStart(r *run, n int, resume *obs.SegmentLog, seg **obs.SegmentSink) func() (*sim.Machine, error) {
+func (s *server) buildStart(r *run, resume *obs.SegmentLog, seg **obs.SegmentSink) func() (*sim.Machine, error) {
 	if s.cfg.startHook != nil {
-		hook := s.cfg.startHook(n)
+		hook := s.cfg.startHook(r.spec.N)
 		return func() (*sim.Machine, error) {
 			r.setState(supervise.StateRunning)
 			return hook()
@@ -283,8 +281,7 @@ func (s *server) buildStart(r *run, n int, resume *obs.SegmentLog, seg **obs.Seg
 			if ss == nil {
 				var err error
 				ss, err = obs.NewResumeSink(obs.SegmentConfig{
-					Dir: r.spill, Design: "oclmon", SampleEvery: s.cfg.sampleEvery,
-					MaxLines: s.cfg.segLines, MaxBytes: s.cfg.segBytes, FS: s.cfg.fs,
+					Dir: r.spill, MaxLines: s.cfg.segLines, MaxBytes: s.cfg.segBytes, FS: s.cfg.fs,
 				}, resume)
 				if err != nil {
 					return nil, err
@@ -293,71 +290,35 @@ func (s *server) buildStart(r *run, n int, resume *obs.SegmentLog, seg **obs.Seg
 			}
 			sink = obs.NewFanout(r.sink, ss)
 		}
-		m, err := s.buildMachine(n, sink)
+		run, err := recipe.Build(r.spec, sink)
 		if err != nil {
 			return nil, err
 		}
 		r.setState(supervise.StateRunning)
-		return m, nil
+		return run.Machine, nil
 	}
 }
 
-// buildMachine compiles the standard oclmon workload and stages its buffers
-// and launches — the deterministic machine rebuilt identically by the
-// supervisor's Start closure, crash recovery, and the at-cycle rewind
-// endpoint. sink may be nil: observability is then left off entirely, which
-// does not change the machine's state evolution (the recorder is strictly
-// read-only), only whether it is recorded.
-func (s *server) buildMachine(n int, sink obs.Sink) (*sim.Machine, error) {
-	d, err := hls.Compile(buildWorkload(n), device.StratixV(), hls.Options{})
-	if err != nil {
-		return nil, err
-	}
-	var ocfg *obs.Config
-	if sink != nil {
-		ocfg = &obs.Config{SampleEvery: s.cfg.sampleEvery, CheckpointEvery: s.cfg.ckptEvery, Sink: sink}
-	}
-	m := sim.New(d, sim.Options{
-		// The supervisor's cycle budget is the operative ceiling here;
-		// leaving the sim's own 20M-cycle default in place would fail
-		// long runs with max-cycles before the budget ever applies.
-		MaxCycles: math.MaxInt64 / 2,
-		MemConfig: mem.Config{RowHitLat: 60, RowMissLat: 200},
-		Observe:   ocfg,
-	})
-	src, err := m.NewBuffer("src", kir.I32, n)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := m.NewBuffer("tbl", kir.I32, 1<<14)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.NewBuffer("dst", kir.I32, n); err != nil {
-		return nil, err
-	}
-	for i := range src.Data {
-		src.Data[i] = int64(i + 1)
-	}
-	for i := range tbl.Data {
-		tbl.Data[i] = int64(i % 97)
-	}
-	if _, err := m.Launch("producer", sim.Args{"src": src}); err != nil {
-		return nil, err
-	}
-	if _, err := m.Launch("consumer", sim.Args{"tbl": tbl, "dst": m.Buffer("dst")}); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// submit admits one run through the supervisor. resume carries the durable
-// prefix when re-executing a crashed run at startup or takeover (id is then
-// the spill directory's name, and the spill stays in resume's directory —
-// which for an adopted run lives under the dead peer's root). Shed
-// submissions (ErrSaturated, ErrTenantSaturated) leave no trace in the
-// registry; quarantined ones are recorded in their terminal state.
+// submit admits one run through the supervisor. A fresh run streams n items
+// on this server's sample and checkpoint grids. resume carries the durable
+// prefix when re-executing a crashed run at startup or takeover: the run
+// then takes every parameter, grids and cycle budget included, from the
+// spill's manifest (id is the spill directory's name, and the spill stays in
+// resume's directory — which for an adopted run lives under the dead peer's
+// root). Shed submissions (ErrSaturated, ErrTenantSaturated) leave no trace
+// in the registry; quarantined ones are recorded in their terminal state.
 func (s *server) submit(id, tenant string, n int, lim supervise.Limits, resume *obs.SegmentLog) (*run, error) {
+	spec := recipe.Spec{Workload: "oclmon", N: n, SampleEvery: s.cfg.sampleEvery, CheckpointEvery: s.cfg.ckptEvery}
+	if resume != nil {
+		var err error
+		if spec, err = s.legacy().FromManifest(&resume.Manifest); err != nil {
+			return nil, err
+		}
+		lim.CycleBudget = spec.CycleBudget
+	}
+	// The resolved budget is part of the spec: it decides where a
+	// budget-failed run's record ends.
+	spec.CycleBudget = s.sup.EffectiveLimits(lim).CycleBudget
 	if id == "" {
 		id = s.newID()
 	}
@@ -365,8 +326,8 @@ func (s *server) submit(id, tenant string, n int, lim supervise.Limits, resume *
 		tenant = "default"
 	}
 	r := &run{
-		id: id, workload: "oclmon", tenant: tenant, recovered: resume != nil, items: n,
-		sink:  newLiveSink("oclmon", s.cfg.sampleEvery),
+		id: id, workload: spec.Workload, tenant: tenant, recovered: resume != nil, spec: spec,
+		sink:  newLiveSink(spec.Workload, spec.SampleEvery),
 		state: supervise.StateQueued,
 	}
 	if resume != nil {
@@ -386,15 +347,12 @@ func (s *server) submit(id, tenant string, n int, lim supervise.Limits, resume *
 		// run is still queued leaves a recoverable (empty-prefix) log, so a
 		// takeover re-executes it instead of silently dropping acknowledged
 		// work.
-		// The Meta records everything a byte-identical re-execution needs:
-		// the workload recipe (workload, n) and the resolved cycle budget,
-		// which decides where a budget-failed run's record ends.
+		// The Meta is the run's spec — everything a byte-identical
+		// re-execution needs — plus the tenant annotation.
+		meta := spec.Meta()
+		meta["tenant"] = tenant
 		ss, err := obs.NewSegmentSink(obs.SegmentConfig{
-			Dir: r.spill, Design: "oclmon", SampleEvery: s.cfg.sampleEvery,
-			Meta: map[string]string{
-				"workload": r.workload, "n": strconv.Itoa(n), "tenant": tenant,
-				"cycle-budget": strconv.FormatInt(s.sup.EffectiveLimits(lim).CycleBudget, 10),
-			},
+			Dir: r.spill, Design: spec.Workload, SampleEvery: spec.SampleEvery, Meta: meta,
 			MaxLines: s.cfg.segLines, MaxBytes: s.cfg.segBytes, FS: s.cfg.fs,
 		})
 		if err != nil {
@@ -408,7 +366,7 @@ func (s *server) submit(id, tenant string, n int, lim supervise.Limits, resume *
 	s.addRun(r)
 	err := s.sup.Submit(supervise.Spec{
 		ID: id, Workload: r.workload, Tenant: tenant, Limits: lim,
-		Start: s.buildStart(r, n, resume, &seg),
+		Start: s.buildStart(r, resume, &seg),
 		Done:  func(m *sim.Machine, out supervise.Outcome) { r.finish(m, out) },
 		FinalizeRetry: func() error {
 			if seg == nil {
@@ -448,49 +406,11 @@ func (s *server) recoverSpills() error {
 	return err
 }
 
-// rebuildSpill is the scrub.Rebuild hook for this server's own workload: a
-// spill whose manifest says it recorded the standard oclmon workload is
-// regenerated by deterministic re-execution through the repair sink, which
-// accepts the stream only if every segment comes back byte-identical to its
-// manifest checksum. The server must be running the same flags the spill was
-// recorded under — the same contract crash recovery already relies on.
-func (s *server) rebuildSpill(man *obs.Manifest, sink obs.Sink) error {
-	if man.Meta["workload"] != "oclmon" {
-		return fmt.Errorf("no rebuild recipe for workload %q", man.Meta["workload"])
-	}
-	if s.cfg.startHook != nil {
-		return errors.New("runs are hook-injected; no deterministic rebuild")
-	}
-	n := s.cfg.n
-	if v, err := strconv.Atoi(man.Meta["n"]); err == nil && v > 0 {
-		n = v
-	}
-	m, err := s.buildMachine(n, sink)
-	if err != nil {
-		return err
-	}
-	// The recorded stream does not depend on how the run was sliced, so one
-	// RunFor over the original cycle budget regenerates it; a budget timeout
-	// ends the stream exactly where the supervised original's ended.
-	budget := s.sup.EffectiveLimits(limitsFromMeta(man.Meta)).CycleBudget
-	var de *sim.DeadlockError
-	if err := m.RunFor(budget); err != nil && !(errors.As(err, &de) && de.Timeout()) {
-		return err
-	}
-	m.Timeline() // forces the recorder's Finalize through to the sink
-	return nil
-}
-
-// limitsFromMeta restores the cycle budget a spill was recorded under. A zero
-// value (absent key — spills from before the budget was persisted) resolves
-// to the supervisor default downstream.
-func limitsFromMeta(meta map[string]string) supervise.Limits {
-	var lim supervise.Limits
-	if v, err := strconv.ParseInt(meta["cycle-budget"], 10, 64); err == nil && v > 0 {
-		lim.CycleBudget = v
-	}
-	return lim
-}
+// legacy holds what this server knows of spills recorded before their
+// checkpoint grid was: they ran on its -checkpoint-every, so recovering one
+// needs the flag it was recorded under — the contract every spill now
+// carries in its own Meta.
+func (s *server) legacy() recipe.Legacy { return recipe.Legacy{CheckpointEvery: s.cfg.ckptEvery} }
 
 // addQuarantined hosts an unrepairable spill as a degraded terminal run: the
 // verdict is visible in /runs and /metrics (oclmon_runs_quarantined), but no
@@ -578,7 +498,7 @@ func (s *server) recoverDir(root string) ([]string, error) {
 			// Boot scrub: repair what we can (derived artifacts plus corrupt
 			// segments via deterministic re-execution), quarantine what we
 			// cannot — a damaged spill must never be served as a wrong answer.
-			res, rerr := scrub.Repair(dir, s.rebuildSpill)
+			res, rerr := scrub.Repair(dir, s.legacy().Rebuild)
 			if rerr != nil || !res.Healthy {
 				reason := fmt.Sprintf("%d findings unrepaired", len(rep.Damage))
 				if rerr != nil {
@@ -600,13 +520,13 @@ func (s *server) recoverDir(root string) ([]string, error) {
 			continue
 		}
 		if slog.Manifest.Complete {
+			// The spec is only needed to rewind; a spill whose Meta does not
+			// decode is still served.
+			spec, _ := recipe.FromManifest(&slog.Manifest)
 			r := &run{
-				id: id, workload: slog.Manifest.Meta["workload"], spill: dir, recovered: true,
+				id: id, workload: slog.Manifest.Design, spill: dir, recovered: true, spec: spec,
 				sink:  newLiveSink(slog.Manifest.Design, slog.Manifest.SampleEvery),
 				state: supervise.StateCompleted,
-			}
-			if v, err := strconv.Atoi(slog.Manifest.Meta["n"]); err == nil && v > 0 {
-				r.items = v // at-cycle rewind needs the workload size to rebuild
 			}
 			if err := slog.Feed(r.sink); err != nil {
 				log.Printf("oclmon: spill %s: %v", dir, err)
@@ -620,16 +540,11 @@ func (s *server) recoverDir(root string) ([]string, error) {
 				id, len(slog.Lines), slog.Manifest.EndCycle)
 			continue
 		}
-		n := s.cfg.n
-		if v, err := strconv.Atoi(slog.Manifest.Meta["n"]); err == nil && v > 0 {
-			n = v
-		}
 		log.Printf("oclmon: re-executing crashed run %s: verifying %d durable lines to cycle %d, then resuming",
 			id, len(slog.Lines), slog.LastCycle())
-		// Resume under the cycle budget the original run recorded: the resume
-		// sink byte-verifies the durable prefix against the re-executed
-		// stream, and the budget decides where a failed run's stream ends.
-		if _, err := s.submit(id, slog.Manifest.Meta["tenant"], n, limitsFromMeta(slog.Manifest.Meta), slog); err != nil {
+		// Resume under the recorded spec: the resume sink byte-verifies the
+		// durable prefix against the re-executed stream.
+		if _, err := s.submit(id, slog.Manifest.Meta["tenant"], 0, supervise.Limits{}, slog); err != nil {
 			log.Printf("oclmon: recover %s: %v", id, err)
 			continue
 		}
@@ -936,46 +851,31 @@ func (s *server) handleAtCycle(w http.ResponseWriter, req *http.Request, r *run)
 		http.Error(w, "bad n", http.StatusBadRequest)
 		return
 	}
-	if r.items <= 0 {
-		http.Error(w, "workload size unknown for this run", http.StatusNotFound)
+	if r.spec.Workload == "" {
+		http.Error(w, "run parameters unknown for this run", http.StatusNotFound)
 		return
 	}
-	m, err := s.buildMachine(r.items, nil)
+	run, err := recipe.Build(r.spec, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	var cks []obs.Checkpoint
 	if r.spill != "" {
-		cks, err := query.Checkpoints(r.spill)
-		if err == nil {
-			var want *obs.Checkpoint
-			for i := range cks {
-				if cks[i].Cycle <= target && (want == nil || cks[i].Cycle > want.Cycle) {
-					want = &cks[i]
-				}
-			}
-			if want != nil && want.Cycle > 0 {
-				if err := m.RunTo(want.Cycle); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				if m.DesignHash() != want.DesignHash || m.StateHash() != want.StateHash {
-					http.Error(w, fmt.Sprintf(
-						"divergent re-execution at checkpoint cycle %d (recorded state %016x, rebuilt %016x)",
-						want.Cycle, want.StateHash, m.StateHash()), http.StatusConflict)
-					return
-				}
-			}
-		}
+		cks, _ = query.Checkpoints(r.spill) // none readable: replay from cycle 0
 	}
-	if err := m.RunTo(target); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if _, err := run.RewindTo(target, cks); err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, recipe.ErrDivergent) {
+			code = http.StatusConflict
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(m.StateDump()); err != nil {
+	if err := enc.Encode(run.Machine.StateDump()); err != nil {
 		log.Printf("at-cycle %s: %v", r.id, err)
 	}
 }

@@ -11,59 +11,34 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"oclfpga/internal/device"
-	"oclfpga/internal/hls"
-	"oclfpga/internal/kir"
-	"oclfpga/internal/mem"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/diff"
 	"oclfpga/internal/obs/scrub"
+	"oclfpga/internal/recipe"
 	"oclfpga/internal/sim"
 	"oclfpga/internal/supervise"
 )
 
 // launchWorkload builds, buffers, and launches the oclmon workload on a
-// fresh machine — the same wiring as server.buildStart, shared by the
-// recovery tests that need to drive a machine by hand.
+// fresh machine — the same recipe as server.buildStart, shared by the
+// recovery tests that need to drive a machine by hand. A nil sink records in
+// memory only.
 func launchWorkload(t *testing.T, n int, sink obs.Sink) *sim.Machine {
 	t.Helper()
-	d, err := hls.Compile(buildWorkload(n), device.StratixV(), hls.Options{})
+	if sink == nil {
+		sink = obs.NewFanout()
+	}
+	r, err := recipe.Build(recipe.Spec{Workload: "oclmon", N: n, SampleEvery: 1000}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := sim.New(d, sim.Options{
-		MemConfig: mem.Config{RowHitLat: 60, RowMissLat: 200},
-		Observe:   &obs.Config{SampleEvery: 1000, Sink: sink},
-	})
-	src, err := m.NewBuffer("src", kir.I32, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := m.NewBuffer("tbl", kir.I32, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.NewBuffer("dst", kir.I32, n); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src.Data {
-		src.Data[i] = int64(i + 1)
-	}
-	for i := range tbl.Data {
-		tbl.Data[i] = int64(i % 97)
-	}
-	if _, err := m.Launch("producer", sim.Args{"src": src}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Launch("consumer", sim.Args{"tbl": tbl, "dst": m.Buffer("dst")}); err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return r.Machine
 }
 
 func waitState(t *testing.T, srv *server, id string, want supervise.State) {
@@ -795,6 +770,124 @@ func TestBootScrubQuarantinesUnrepairableSpill(t *testing.T) {
 	if r2 := srv2.get("run1"); r2 == nil || !r2.quarantinedSpill {
 		t.Fatalf("quarantine marker not honored on reboot: %+v", r2)
 	}
+}
+
+// TestRecoveryKeepsRecordedGrids: a run recorded under -sample-every 200
+// -checkpoint-every 1000 is recovered by a server restarted with other grids.
+// The grids belong to the run's spec in the manifest, so a crashed run still
+// resumes byte-identically and a rotted segment is still repaired, not
+// quarantined.
+func TestRecoveryKeepsRecordedGrids(t *testing.T) {
+	const n = 256
+	recorded := serverConfig{n: n, sampleEvery: 200, ckptEvery: 1000, segLines: 64, spillDir: t.TempDir()}
+	restart := func(t *testing.T, root string) *server {
+		t.Helper()
+		sup := supervise.New(supervise.Config{Slots: 1})
+		t.Cleanup(sup.Close)
+		srv := newServer(serverConfig{n: n, sampleEvery: 1000, ckptEvery: 4096, segLines: 64, spillDir: root}, sup)
+		if err := srv.recoverSpills(); err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+
+	sup := supervise.New(supervise.Config{Slots: 1})
+	defer sup.Close()
+	srv := newServer(recorded, sup)
+	if _, err := srv.submit("", "", n, supervise.Limits{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, "run1", supervise.StateCompleted)
+	refDir := filepath.Join(recorded.spillDir, "run1")
+	want, err := obs.LoadSegments(refDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Manifest.Segments) < 3 {
+		t.Fatalf("fixture too small: %d segments", len(want.Manifest.Segments))
+	}
+
+	t.Run("resume", func(t *testing.T) {
+		// A crash after the first segment sealed: the manifest lists only it.
+		root := t.TempDir()
+		dir := filepath.Join(root, "run1")
+		if err := os.MkdirAll(dir, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		crashed := want.Manifest
+		crashed.Complete, crashed.EndCycle = false, 0
+		crashed.Segments = crashed.Segments[:1]
+		raw, err := json.Marshal(&crashed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := os.ReadFile(filepath.Join(refDir, crashed.Segments[0].File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, crashed.Segments[0].File), seg, 0o666); err != nil {
+			t.Fatal(err)
+		}
+
+		srv := restart(t, root)
+		waitState(t, srv, "run1", supervise.StateCompleted)
+		got, err := obs.LoadSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Manifest.Complete || got.Manifest.EndCycle != want.Manifest.EndCycle {
+			t.Fatalf("resumed manifest complete %v end %d, want end %d",
+				got.Manifest.Complete, got.Manifest.EndCycle, want.Manifest.EndCycle)
+		}
+		if !reflect.DeepEqual(got.Lines, want.Lines) {
+			t.Fatalf("resumed stream differs from the recorded run (%d vs %d lines)", len(got.Lines), len(want.Lines))
+		}
+	})
+
+	t.Run("repair", func(t *testing.T) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "run1")
+		if err := os.MkdirAll(dir, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(refDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(refDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := filepath.Join(dir, want.Manifest.Segments[0].File)
+		clean, err := os.ReadFile(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.FlipByte(first, 30); err != nil {
+			t.Fatal(err)
+		}
+
+		srv := restart(t, root)
+		r := srv.get("run1")
+		if r == nil || r.quarantinedSpill {
+			t.Fatalf("repairable spill not repaired: %+v", r)
+		}
+		got, err := os.ReadFile(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(clean, got) {
+			t.Fatal("re-executed segment is not byte-identical to the original")
+		}
+	})
 }
 
 // TestSpillGCEnforcesBudget completes two spilled runs, ages one, and reboots

@@ -241,6 +241,49 @@ func TestScrubRepairsSpillDir(t *testing.T) {
 	}
 }
 
+// TestHungRunSealsSpill: a run that ends in a diagnosed hang still closes
+// its record — the spill is complete, its diagnosis is printed after the
+// seal, and a corrupted segment of it repairs byte-identically by
+// re-executing the same hang.
+func TestHungRunSealsSpill(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	stdout, stderr, code := runBin(t,
+		"-workload", "chanstall", "-log=false", "-inject", "freeze-read:pipe@500", "-diagnose",
+		"-checkpoint-every", "1000", "-seg-lines", "16", "-spill-dir", dir)
+	if code != 1 {
+		t.Fatalf("hung run exited %d, want 1\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	if !bytes.Contains([]byte(stdout), []byte("pipe")) {
+		t.Fatalf("no hang diagnosis on stdout:\n%s", stdout)
+	}
+	man, err := obs.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !man.Complete || len(man.Segments) < 2 {
+		t.Fatalf("hung run left an unsealed spill: complete %v, %d segments", man.Complete, len(man.Segments))
+	}
+	seg := filepath.Join(dir, man.Segments[1].File)
+	clean, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.FlipByte(seg, 25); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code = runBin(t, "-scrub", "-spill-dir", dir)
+	if code != 0 || oneJSONDocument(t, stdout)["healthy"] != true {
+		t.Fatalf("-scrub of the hung run's spill exited %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	got, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(clean, got) {
+		t.Fatal("repaired segment is not byte-identical to the original")
+	}
+}
+
 func TestScrubFlagHygiene(t *testing.T) {
 	if _, _, code := runBin(t, "-scrub"); code != 2 {
 		t.Fatalf("-scrub without -spill-dir exited %d, want 2", code)

@@ -7,6 +7,8 @@ import (
 	"oclfpga/internal/device"
 	"oclfpga/internal/hls"
 	"oclfpga/internal/kir"
+	"oclfpga/internal/recipe"
+	"oclfpga/internal/sim"
 )
 
 // The experiments are re-run constantly — by the CLI, the test suite, and the
@@ -51,4 +53,28 @@ func compiledDesign(key string, dev *device.Device, opts hls.Options,
 		e.d, e.err = hls.Compile(p, dev, opts)
 	})
 	return e.d, e.aux, e.err
+}
+
+// stageRecipe stages a run of spec (a Stratix V, default-option spec)
+// through the design memo, under key, and the experiments' machine
+// constructor; adjust, when set, edits the spec's simulator options first.
+func stageRecipe(key string, spec recipe.Spec, adjust func(*sim.Options)) (*recipe.Run, error) {
+	d, aux, err := compiledDesign(key, device.StratixV(), hls.Options{}, func() (*kir.Program, any, error) {
+		p, err := recipe.Prepare(spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		return p.Kir, p, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	o, err := spec.SimOptions()
+	if err != nil {
+		return nil, err
+	}
+	if adjust != nil {
+		adjust(&o)
+	}
+	return aux.(*recipe.Program).Stage(spec, newSim(d, o))
 }

@@ -5,9 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"oclfpga/internal/device"
 	"oclfpga/internal/fault"
-	"oclfpga/internal/hls"
 	"oclfpga/internal/kir"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/analyze"
@@ -93,7 +91,7 @@ func TestDiffSelfNeutral(t *testing.T) {
 // optional fault plan, and returns its attribution and series.
 func runSimBenchFaulted(t *testing.T, n int, plan *fault.Plan) (*analyze.Attribution, *obs.Series) {
 	t.Helper()
-	d, err := hls.Compile(buildSimBench(n), device.StratixV(), hls.Options{})
+	d, err := CompileSimBench(n)
 	if err != nil {
 		t.Fatal(err)
 	}

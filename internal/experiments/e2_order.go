@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"oclfpga/internal/device"
-	"oclfpga/internal/hls"
 	"oclfpga/internal/kir"
+	"oclfpga/internal/recipe"
 	"oclfpga/internal/report"
-	"oclfpga/internal/sim"
-	"oclfpga/internal/workload"
 )
 
 // E2Entry is one captured (seq -> timestamp, k, i) row of Figure 2.
@@ -31,76 +28,32 @@ type E2Result struct {
 // E2ExecutionOrder reproduces Figure 2 for one kernel flavour: the
 // instrumented matvec (N=50, num=100, capture i<10) on Stratix V.
 func E2ExecutionOrder(mode kir.Mode) (*E2Result, error) {
-	d, aux, err := compiledDesign("e2/"+mode.String(), device.StratixV(), hls.Options{},
-		func() (*kir.Program, any, error) {
-			p := kir.NewProgram("matvec_order")
-			mv := workload.BuildMatVec(p, workload.MatVecConfig{Mode: mode, Instrument: true})
-			return p, mv, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	mv := aux.(*workload.MatVec)
-	m := newSim(d, sim.Options{})
-
-	cfg := mv.Config
-	x, err := m.NewBuffer("x", kir.I32, cfg.N*cfg.Num)
-	if err != nil {
-		return nil, err
-	}
-	y, err := m.NewBuffer("y", kir.I32, cfg.Num)
-	if err != nil {
-		return nil, err
-	}
-	z, err := m.NewBuffer("z", kir.I32, cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	info1, err := m.NewBuffer("info1", kir.I64, mv.InfoSize)
-	if err != nil {
-		return nil, err
-	}
-	info2, err := m.NewBuffer("info2", kir.I32, mv.InfoSize)
-	if err != nil {
-		return nil, err
-	}
-	info3, err := m.NewBuffer("info3", kir.I32, mv.InfoSize)
-	if err != nil {
-		return nil, err
-	}
-	for i := range x.Data {
-		x.Data[i] = int64(i % 7)
-	}
-	for i := range y.Data {
-		y.Data[i] = int64(i % 5)
-	}
-
-	var u *sim.Unit
+	spec := recipe.Spec{Workload: "matvec-st", Order: true}
 	if mode == kir.NDRange {
-		u, err = m.LaunchND(mv.KernelName, int64(cfg.N), sim.Args{
-			"x": x, "y": y, "z": z, "info1": info1, "info2": info2, "info3": info3})
-	} else {
-		u, err = m.Launch(mv.KernelName, sim.Args{
-			"x": x, "y": y, "z": z, "info1": info1, "info2": info2, "info3": info3})
+		spec.Workload = "matvec-nd"
 	}
+	r, err := stageRecipe("e2/"+mode.String(), spec, nil)
 	if err != nil {
 		return nil, err
 	}
+	m, u := r.Machine, r.Units[0]
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
+	x, y, z := m.Buffer("x").Data, m.Buffer("y").Data, m.Buffer("z").Data
+	info1, info2, info3 := m.Buffer("info1"), m.Buffer("info2"), m.Buffer("info3")
 
-	res := &E2Result{Mode: mode, Kernel: mv.KernelName, TotalCycle: u.FinishedAt(), Correct: true}
-	for k := 0; k < cfg.N; k++ {
+	res := &E2Result{Mode: mode, Kernel: u.Kernel().UnitName(), TotalCycle: u.FinishedAt(), Correct: true}
+	for k := range z {
 		want := int64(0)
-		for i := 0; i < cfg.Num; i++ {
-			want += x.Data[k*cfg.Num+i] * y.Data[i]
+		for i := range y {
+			want += x[k*len(y)+i] * y[i]
 		}
-		if z.Data[k] != int64(int32(want)) {
+		if z[k] != int64(int32(want)) {
 			res.Correct = false
 		}
 	}
-	for s := 1; s < mv.InfoSize; s++ {
+	for s := 1; s < len(info1.Data); s++ {
 		if info1.Data[s] == 0 {
 			break
 		}

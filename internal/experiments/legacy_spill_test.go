@@ -12,6 +12,7 @@ import (
 	"oclfpga/internal/obs/diff"
 	"oclfpga/internal/obs/query"
 	"oclfpga/internal/obs/scrub"
+	"oclfpga/internal/recipe"
 	"oclfpga/internal/sim"
 )
 
@@ -191,7 +192,7 @@ func TestLegacySpillStaysReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scrub.Repair(dir, SimBenchRebuild)
+	res, err := scrub.Repair(dir, recipe.Rebuild)
 	if err == nil && res.Healthy {
 		t.Fatal("repair accepted a re-execution of a legacy spill")
 	}

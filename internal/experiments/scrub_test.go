@@ -8,13 +8,14 @@ import (
 
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/scrub"
+	"oclfpga/internal/recipe"
 	"oclfpga/internal/sim"
 )
 
 // TestScrubRepairSimBenchPinned is the end-to-end durability pin: a real
 // simulated workload spills a checkpointed segmented record, the chaos
 // injector damages it several ways at once, and scrub.Repair — driving the
-// full simulator re-execution via SimBenchRebuild — must restore every file
+// full simulator re-execution via recipe.Rebuild — must restore every file
 // byte-identically to a clean run's. The FF-off arm writes its spill with
 // fast-forward off and repairs it with the fast-forward rebuild: the record
 // does not depend on the mode, so repair may always take the fast path.
@@ -28,7 +29,7 @@ func TestScrubRepairSimBenchPinned(t *testing.T) {
 	defer sim.SetFastForwardDisabled(false)
 	for _, tc := range []struct {
 		name      string
-		disableFF bool // the spilled run's mode; SimBenchRebuild runs FF on
+		disableFF bool // the spilled run's mode; recipe.Rebuild runs FF on
 	}{
 		{"ff-on", false},
 		{"ff-off", true},
@@ -93,7 +94,7 @@ func TestScrubRepairSimBenchPinned(t *testing.T) {
 				t.Fatalf("scan = healthy %v, needsReexec %v", rep.Healthy, rep.NeedsReexec)
 			}
 
-			res, err := scrub.Repair(dir, SimBenchRebuild)
+			res, err := scrub.Repair(dir, recipe.Rebuild)
 			if err != nil {
 				t.Fatalf("repair: %v (remaining %+v)", err, res.Remaining)
 			}
@@ -139,7 +140,7 @@ func TestScrubRepairRefusesForeignWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	man.Meta["workload"] = "something-else"
-	if err := SimBenchRebuild(man, nil); err == nil {
+	if err := recipe.Rebuild(man, nil); err == nil {
 		t.Fatal("rebuilt a foreign workload")
 	}
 }

@@ -334,6 +334,7 @@ func Repair(dir string, rebuild Rebuild) (*Result, error) {
 			return res, err
 		}
 		if err := rebuild(rep.Manifest, rs); err != nil {
+			res.Remaining = rep.Damage
 			return res, fmt.Errorf("scrub: %s: rebuild: %w", dir, err)
 		}
 		res.Repaired, err = rs.Commit()

@@ -57,8 +57,9 @@ type Manifest struct {
 	Version     int    `json:"obsSegments"`
 	Design      string `json:"design"`
 	SampleEvery int64  `json:"sampleEvery,omitempty"`
-	// Meta carries opaque workload parameters (e.g. oclmon's item count) so
-	// a recovering process can rebuild the identical deterministic run.
+	// Meta carries the run's parameters, opaque here (internal/recipe owns
+	// the codec), so a recovering process can rebuild the identical
+	// deterministic run.
 	Meta     map[string]string `json:"meta,omitempty"`
 	Complete bool              `json:"complete,omitempty"`
 	EndCycle int64             `json:"endCycle,omitempty"`

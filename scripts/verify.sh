@@ -11,14 +11,15 @@ go build ./...
 go test -race ./...
 
 # Fuzz smoke: a few seconds each on the parser fuzz targets (spec parser,
-# NDJSON replay, the flat binary codec, and the spill's own parsers). Any
-# crasher fails the gate; the seed corpora alone already ran under `go test`
-# above.
+# NDJSON replay, the flat binary codec, the spill's own parsers and the run
+# recipe's Meta codec). Any crasher fails the gate; the seed corpora alone
+# already ran under `go test` above.
 go test ./internal/fault -run '^$' -fuzz 'FuzzParseSpec$' -fuzztime 5s
 go test ./internal/fault -run '^$' -fuzz 'FuzzParseSpecs$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzReplayNDJSON$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzFlatCodec$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzManifest$' -fuzztime 5s
+go test ./internal/recipe -run '^$' -fuzz 'FuzzRecipeMeta$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzCheckpointDetail$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzSegIndex$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseBreaks$' -fuzztime 5s
